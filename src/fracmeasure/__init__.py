@@ -29,6 +29,7 @@ from .errors import (
     ConfigParseError,
     DeltaBelowResolution,
     FracmeasureError,
+    InvalidInput,
     NumericalFailure,
     SizeLimit,
     SpaceValidationError,
@@ -99,6 +100,7 @@ __all__ = [
     "INF",
     "INVARIANT_TOL",
     "IntegerCoverSolution",
+    "InvalidInput",
     "NumericalFailure",
     "PointMeasure",
     "Premeasure",

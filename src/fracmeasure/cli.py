@@ -116,6 +116,8 @@ def premeasure_from_json(doc, measure) -> Premeasure:
             )
     except KeyError as exc:
         raise ConfigParseError(f"premeasure missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # includes InvalidInput from the constructors
+        raise ConfigParseError(f"bad premeasure: {exc}") from exc
     raise ConfigParseError(f"unknown premeasure kind {kind!r}")
 
 

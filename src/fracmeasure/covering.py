@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionUnsupported,
+    InvalidInput,
     InvalidWeightedCover,
     OptimizerInternalError,
 )
@@ -124,10 +125,10 @@ def besicovitch_families(
     if dim not in (1, 2):
         raise DimensionUnsupported(dim)
     if len(centers) != len(radii):
-        raise ValueError("centers and radii lengths differ")
+        raise InvalidInput("centers and radii lengths differ")
     for r in radii:
         if not r > 0.0:
-            raise ValueError("radii must be positive")
+            raise InvalidInput("radii must be positive")
 
     items = sorted(
         zip(centers, (float(r) for r in radii)),
@@ -206,7 +207,7 @@ def subfamily_3r_reduction(
     which is reported, never asserted against any fixed constant.
     """
     if len(weights) != len(balls):
-        raise ValueError("weights and balls lengths differ")
+        raise InvalidInput("weights and balls lengths differ")
     tgt = set(target)
     member_sets = [ball_members(space, b) for b in balls]
     for p in tgt:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyGrid, ZeroDenominator
+from .errors import EmptyGrid, InvalidInput, ZeroDenominator
 from .extended import INF, SOLVER_TOL, xdiv
 from .metric import Ball, FiniteMetricSpace, PointMeasure, ball_mass, enumerate_centered_balls
 from .premeasure import Premeasure, eval_premeasure, weight_term
@@ -34,14 +34,14 @@ def blanketing_ratio(
 ) -> float:
     """max over grid radii and support points of mu(B(x, a r)) / mu(B(x, r))."""
     if not a > 1.0:
-        raise ValueError("dilation factor must exceed 1")
+        raise InvalidInput("dilation factor must exceed 1")
     if not radii:
         raise EmptyGrid("blanketing needs a nonempty radius grid")
     supp = sorted(measure.support, key=space.index_of)
     best = 0.0
     for r in radii:
         if not r > 0.0:
-            raise ValueError("grid radii must be positive")
+            raise InvalidInput("grid radii must be positive")
         for x in supp:
             num = ball_mass(space, measure, Ball(center=x, radius=a * r))
             den = ball_mass(space, measure, Ball(center=x, radius=float(r)))
@@ -64,7 +64,7 @@ def premeasure_doubling(
     best = 0.0
     for r in radii:
         if not r > 0.0:
-            raise ValueError("grid radii must be positive")
+            raise InvalidInput("grid radii must be positive")
         for x in space.point_ids:
             den = eval_premeasure(xi, space, Ball(center=x, radius=float(r)))
             if den == 0.0:
@@ -94,11 +94,11 @@ def upper_density_profile(
     if not radii:
         raise EmptyGrid("density profile needs a nonempty radius grid")
     if measure.mass_of(point) <= 0.0:
-        raise ValueError("profile point must carry positive mass")
+        raise InvalidInput("profile point must carry positive mass")
     rows = []
     for r in sorted(float(r) for r in radii):
         if not r > 0.0:
-            raise ValueError("grid radii must be positive")
+            raise InvalidInput("grid radii must be positive")
         b = Ball(center=point, radius=r)
         num = ball_mass(space, nu, b)
         den = weight_term(space, measure, q, xi, b)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 __all__ = [
     "FracmeasureError",
+    "InvalidInput",
     "SpaceValidationError",
     "TriangleViolation",
     "AsymmetricDistance",
     "NonPositiveEpsilon",
     "EpsilonAboveResolution",
     "DegenerateDistance",
+    "NonFiniteDistance",
     "CoordsMismatch",
     "UnknownCenter",
     "DeltaBelowResolution",
@@ -36,6 +38,13 @@ __all__ = [
 
 class FracmeasureError(Exception):
     """Base class for all library-specific errors."""
+
+
+class InvalidInput(FracmeasureError, ValueError):
+    """An argument outside its domain: NaN, infinite, negative, misshapen.
+
+    Also a ValueError, so callers catching the builtin keep working.
+    """
 
 
 # --- space validation -------------------------------------------------
@@ -77,6 +86,14 @@ class DegenerateDistance(FracmeasureError):
 
     def __init__(self, i: int, j: int) -> None:
         super().__init__(f"distinct points {i}, {j} at nonpositive distance")
+        self.i, self.j = i, j
+
+
+class NonFiniteDistance(FracmeasureError):
+    """NaN or infinite distance entry."""
+
+    def __init__(self, i: int, j: int) -> None:
+        super().__init__(f"dist[{i},{j}] is not finite")
         self.i, self.j = i, j
 
 

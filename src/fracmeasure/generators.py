@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LevelTooLarge
+from .errors import InvalidInput, LevelTooLarge
 from .metric import FiniteMetricSpace, PointMeasure, point_measure, validate_space
 
 __all__ = ["cantor_net", "cycle_metric", "uniform_grid", "random_cloud"]
@@ -26,9 +26,9 @@ def cantor_net(
         raise LevelTooLarge(level, _MAX_LEVEL)
     c = float(ratio)
     if not 0.0 < c <= 0.5:
-        raise ValueError("contraction ratio must lie in (0, 1/2]")
+        raise InvalidInput("contraction ratio must lie in (0, 1/2]")
     if not 0.0 < p < 1.0:
-        raise ValueError("branch weight must lie in (0, 1)")
+        raise InvalidInput("branch weight must lie in (0, 1)")
     weights = [(1.0 - c) * c ** (k - 1) for k in range(1, level + 1)]
     ids = []
     xs = []
@@ -49,7 +49,7 @@ def cantor_net(
 def cycle_metric(n: int) -> FiniteMetricSpace:
     """Unit n-cycle with the shortest-path metric; resolution floor 0.5."""
     if n < 3:
-        raise ValueError("a cycle needs at least 3 points")
+        raise InvalidInput("a cycle needs at least 3 points")
     idx = np.arange(n)
     around = np.abs(idx[:, None] - idx[None, :])
     d = np.minimum(around, n - around).astype(float)
@@ -61,7 +61,7 @@ def cycle_metric(n: int) -> FiniteMetricSpace:
 def uniform_grid(n: int, d: int) -> FiniteMetricSpace:
     """n^d lattice scaled to unit diameter; resolution floor half the spacing."""
     if n < 2 or d < 1:
-        raise ValueError("need at least 2 points per axis and dimension >= 1")
+        raise InvalidInput("need at least 2 points per axis and dimension >= 1")
     axes = [np.arange(n, dtype=float) for _ in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     scale = (n - 1) * np.sqrt(d)  # largest pairwise distance before scaling
@@ -77,14 +77,14 @@ def uniform_grid(n: int, d: int) -> FiniteMetricSpace:
 def random_cloud(n: int, d: int, seed: int) -> FiniteMetricSpace:
     """n uniform points in the unit cube; reproducible bit for bit per seed."""
     if n < 2 or d < 1:
-        raise ValueError("need at least 2 points and dimension >= 1")
+        raise InvalidInput("need at least 2 points and dimension >= 1")
     rng = np.random.default_rng(seed)
     coords = rng.random((n, d))
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     positive = dist[dist > 0.0]
     if positive.size == 0:
-        raise ValueError("degenerate cloud: all points coincide")
+        raise InvalidInput("degenerate cloud: all points coincide")
     return validate_space(
         coords=coords,
         epsilon_net=float(positive.min()) / 2.0,

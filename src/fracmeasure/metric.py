@@ -33,12 +33,14 @@ from .errors import (
     DegenerateDistance,
     DeltaBelowResolution,
     EpsilonAboveResolution,
+    InvalidInput,
+    NonFiniteDistance,
     NonPositiveEpsilon,
     SpaceValidationError,
     TriangleViolation,
     UnknownCenter,
 )
-from .extended import INVARIANT_TOL
+from .extended import INF, INVARIANT_TOL
 
 __all__ = [
     "FiniteMetricSpace",
@@ -163,10 +165,12 @@ def validate_space(
 
     Accepts a raw distance matrix, coordinate rows (Euclidean), or both
     (then their consistency is checked to 1e-12).  All violations are
-    collected and raised together in one SpaceValidationError.
+    collected and raised together in one SpaceValidationError; a NaN or
+    infinite distance ends the scan early, since the later checks mean
+    nothing on it.
     """
     if dist is None and coords is None:
-        raise ValueError("need a distance matrix or coordinates")
+        raise InvalidInput("need a distance matrix or coordinates")
 
     violations: list = []
     c_arr = None
@@ -181,11 +185,11 @@ def validate_space(
     else:
         d_arr = np.array(dist, dtype=float)
         if d_arr.ndim != 2 or d_arr.shape[0] != d_arr.shape[1]:
-            raise ValueError("distance matrix must be square")
+            raise InvalidInput("distance matrix must be square")
         if c_arr is not None:
             if c_arr.shape[0] != d_arr.shape[0]:
-                raise ValueError("coords and matrix sizes disagree")
-            bad = np.argwhere(np.abs(d_arr - euclid) > INVARIANT_TOL)
+                raise InvalidInput("coords and matrix sizes disagree")
+            bad = np.argwhere(~(np.abs(d_arr - euclid) <= INVARIANT_TOL))  # NaN mismatches
             for i, j in bad[:8]:
                 violations.append(CoordsMismatch(int(i), int(j)))
 
@@ -195,9 +199,16 @@ def validate_space(
     else:
         point_ids = tuple(point_ids)
         if len(point_ids) != n:
-            raise ValueError("point_ids length does not match the matrix")
+            raise InvalidInput("point_ids length does not match the matrix")
         if len(set(point_ids)) != n:
-            raise ValueError("point_ids must be distinct")
+            raise InvalidInput("point_ids must be distinct")
+
+    nonfinite = ~np.isfinite(d_arr)
+    if nonfinite.any():
+        bad = np.argwhere(np.triu(nonfinite | nonfinite.T))
+        raise SpaceValidationError(
+            violations + [NonFiniteDistance(int(i), int(j)) for i, j in bad[:8]]
+        )
 
     if np.any(np.abs(np.diag(d_arr)) > 0.0):
         i = int(np.argmax(np.abs(np.diag(d_arr))))
@@ -241,18 +252,21 @@ def validate_space(
 
 
 def point_measure(space: FiniteMetricSpace, masses: Mapping[Any, float]) -> PointMeasure:
-    """Validate masses against a space: nonnegative, total 1, nonempty support."""
+    """Validate masses against a space: finite, nonnegative, total 1, nonempty support."""
     unknown = [p for p in masses if p not in space]
     if unknown:
         raise UnknownCenter(unknown[0])
     vals = {p: float(m) for p, m in masses.items()}
-    if any(m < 0.0 for m in vals.values()):
-        raise ValueError("masses must be nonnegative")
+    bad = [p for p, m in vals.items() if not 0.0 <= m < INF]
+    if bad:
+        raise InvalidInput(
+            f"masses must be finite and nonnegative, got {vals[bad[0]]!r} at {bad[0]!r}"
+        )
     total = sum(vals.values())
     if abs(total - 1.0) > INVARIANT_TOL:
-        raise ValueError(f"masses sum to {total!r}, expected 1 within {INVARIANT_TOL}")
+        raise InvalidInput(f"masses sum to {total!r}, expected 1 within {INVARIANT_TOL}")
     if not any(m > 0.0 for m in vals.values()):
-        raise ValueError("support must be nonempty")
+        raise InvalidInput("support must be nonempty")
     return PointMeasure(mass=vals)
 
 
@@ -308,7 +322,7 @@ def enumerate_centered_balls(
     center in (0, delta] plus the floor epsilon_net, intersected with
     [epsilon_net, delta].  Requires delta >= epsilon_net.
     """
-    if delta < space.epsilon_net:
+    if not delta >= space.epsilon_net:  # also rejects NaN
         raise DeltaBelowResolution(float(delta), space.epsilon_net)
     balls: list[Ball] = []
     seen: set[tuple] = set()
@@ -362,7 +376,7 @@ def enumerate_centered_rectangles(
     Radii are chosen independently per factor, so the family is the full
     cross product of the factor grids; nominal diameters stay <= 2 delta.
     """
-    if delta < product.epsilon_net:
+    if not delta >= product.epsilon_net:  # also rejects NaN
         raise DeltaBelowResolution(float(delta), product.epsilon_net)
     lballs = enumerate_centered_balls(product.left, left_centers, delta)
     rballs = enumerate_centered_balls(product.right, right_centers, delta)

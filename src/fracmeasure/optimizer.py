@@ -19,14 +19,25 @@ The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
 cost covering each, divided by the maximum coverage of any single
 candidate) and, when that fails to prune, the LP relaxation of the
-remaining subproblem.  Branching picks the uncovered point covered by
-the fewest still-allowed candidates and tries its candidates in the
-global order (descending coverage per unit cost, ties by lexicographic
-(center, radius)), excluding earlier branches from later ones, which
-makes the search exhaustive without repetition and deterministic.  If
-the node budget is exhausted, instances of at most 20 candidates fall
-back to exhaustive subset enumeration; larger ones raise
-CandidateLimitExceeded carrying the proven bound bracket.
+remaining subproblem, certified by a scaled dual.  A node is pruned when
+its bound reaches the incumbent value less the relative margin
+``_PRUNE_REL * max(1, incumbent)``, so the returned value exceeds the
+true optimum by at most ``_PRUNE_REL * max(1, H)``, far below
+SOLVER_TOL.  The margin is relative because the certified bound is
+shrunk relatively; an absolute margin would never let a tight bound
+prune once H > 1.  The first incumbent is the greedy cover.  Whenever a
+node's LP solution is integral (always so on a line, where the
+incidence is an interval matrix and hence totally unimodular), its
+support joined with the node's picks is checked against the bit masks
+and, if it covers, offered as an incumbent valued by the plain sum of
+its costs, never by the LP objective.  Branching picks the uncovered
+point covered by the fewest still-allowed candidates and tries its
+candidates in the global order (descending coverage per unit cost, ties
+by lexicographic (center, radius)), excluding earlier branches from
+later ones, which makes the search exhaustive without repetition and
+deterministic.  If the node budget is exhausted, instances of at most
+20 candidates fall back to exhaustive subset enumeration; larger ones
+raise CandidateLimitExceeded carrying the proven bound bracket.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from scipy.optimize import linprog
 
 from .errors import (
     CandidateLimitExceeded,
+    InvalidInput,
     NumericalFailure,
     OptimizerInternalError,
     SizeLimit,
@@ -79,7 +91,10 @@ __all__ = [
 
 _NODE_LIMIT = 2**30
 _EXHAUSTIVE_LIMIT = 20  # candidates; fallback bound for the subset scan
-_PRUNE_EPS = 1e-12  # margin far below the stated solver tolerance
+# Relative prune margin: strictly above the 1e-12 relative shrink of the
+# certified LP bound, so a tight bound prunes, and far below SOLVER_TOL.
+_PRUNE_REL = 1e-11
+_INTEGRAL_TOL = 1e-9  # LP solution entries this close to an integer count as integral
 
 
 # --- instances ----------------------------------------------------------
@@ -320,7 +335,6 @@ def _popcount(x: int) -> int:
 def _greedy_cover(order, costs, masks, remaining: int):
     """Deterministic greedy incumbent: max new coverage per unit cost."""
     chosen: list[int] = []
-    value = 0.0
     rem = remaining
     while rem:
         best_i = -1
@@ -336,9 +350,8 @@ def _greedy_cover(order, costs, masks, remaining: int):
         if best_i < 0:
             return None
         chosen.append(best_i)
-        value += costs[best_i]
         rem &= ~masks[best_i]
-    return value, chosen
+    return chosen
 
 
 class _NodeBudget(Exception):
@@ -346,7 +359,11 @@ class _NodeBudget(Exception):
 
 
 def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> IntegerCoverSolution:
-    """Exact minimum-cost cover of the target by candidate members."""
+    """Exact minimum-cost cover of the target by candidate members.
+
+    The returned value is the plain sum of the chosen costs and exceeds
+    the true optimum by at most ``_PRUNE_REL * max(1, value)``.
+    """
     m = len(instance.target)
     if m == 0:
         return IntegerCoverSolution(chosen=(), value=0.0, status="optimal", nodes=0)
@@ -410,10 +427,27 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             cheapest[k] = min(costs[i] for i in point_cands[k])
     maxcov = max(_popcount(mask_of[i] & remaining0) for i in order)
 
+    best_val: float = INF
+    best_set: list[int] = []
+
+    def record(cols: list[int]) -> None:
+        # Incumbents are valued by the plain sum of their costs, never by
+        # an LP objective, so soundness does not rest on LP accuracy.
+        nonlocal best_val, best_set
+        cols = sorted(cols)
+        val = sum(costs[i] for i in cols)
+        if val < best_val:
+            best_val, best_set = val, cols
+
+    def pruned(bound: float) -> bool:
+        if best_val == INF:  # inf - inf is NaN; only an empty subtree prunes
+            return bound == INF
+        return bound >= best_val - _PRUNE_REL * max(1.0, best_val)
+
     g = _greedy_cover(order, costs, mask_of, remaining0)
     if g is None:  # unreachable: coverage was checked above
         raise OptimizerInternalError("greedy failed on a coverable instance")
-    best_val, best_set = g
+    record(g)
 
     banned = {i: False for i in order}
     nodes = 0
@@ -428,7 +462,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             mk ^= low
         return s / maxcov
 
-    def lp_bound(rem: int) -> float:
+    def lp_bound(rem: int) -> tuple[float, list[int], np.ndarray | None]:
+        """Certified LP lower bound, the LP columns and their primal values."""
         rows = []
         mk = rem
         while mk:
@@ -452,11 +487,12 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
                 mki ^= low
             rows_per_col.append(np.array(sorted(rr), dtype=np.int64))
         if not cols:
-            return INF
+            return INF, cols, None
         costs_arr = np.array([costs[i] for i in cols])
         out = _covering_lp(costs_arr, rows_per_col, len(rows))
         if out is None:
-            return INF
+            return INF, cols, None
+        x = out[1]
         # Certified bound by weak duality: scale the dual so every
         # column sum sits below its cost, making the dual objective a
         # true lower bound regardless of solver rounding.
@@ -466,27 +502,33 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             s = float(y[rr].sum())
             if s > cost_j:
                 if cost_j <= 0.0:
-                    return 0.0
+                    return 0.0, cols, x
                 lam = min(lam, cost_j / s)
-        return lam * float(y.sum()) * (1.0 - 1e-12)
+        return lam * float(y.sum()) * (1.0 - 1e-12), cols, x
 
     def visit(rem: int, cost_so_far: float, chosen: list[int]) -> None:
-        nonlocal nodes, best_val, best_set, root_lower
+        nonlocal nodes, root_lower
         nodes += 1
         if nodes > node_limit:
             raise _NodeBudget
         if rem == 0:
-            if cost_so_far < best_val:
-                best_val = cost_so_far
-                best_set = list(chosen)
+            record(chosen)
             return
         lb = cheap_bound(rem)
-        if cost_so_far + lb >= best_val - _PRUNE_EPS:
+        if pruned(cost_so_far + lb):
             return
-        lb = max(lb, lp_bound(rem))
+        lp_lb, cols, x = lp_bound(rem)
+        if x is not None and np.all(np.abs(x - np.round(x)) <= _INTEGRAL_TOL):
+            picks = [i for i, xj in zip(cols, x) if xj > 0.5]
+            covered = 0
+            for i in picks:
+                covered |= mask_of[i]
+            if rem & ~covered == 0:
+                record(chosen + picks)
+        lb = max(lb, lp_lb)
         if nodes == 1:
             root_lower = cost_so_far + lb
-        if cost_so_far + lb >= best_val - _PRUNE_EPS:
+        if pruned(cost_so_far + lb):
             return
         pick, fewest = -1, None
         mk = rem
@@ -691,7 +733,7 @@ def delta_profile(
     """
     ds = [float(d) for d in deltas]
     if sorted(ds, reverse=True) != ds:
-        raise ValueError("deltas must be given in descending order")
+        raise InvalidInput("deltas must be given in descending order")
     rows = []
     for d in ds:
         h = hausdorff_premeasure(space, measure, q, xi, target, d)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FracmeasureError
-from .extended import xmul, xpow
+from .errors import FracmeasureError, InvalidInput
+from .extended import INF, xmul, xpow
 from .metric import (
     Ball,
     FiniteMetricSpace,
@@ -58,8 +58,8 @@ class HausdorffFunction:
 
     @staticmethod
     def power_law(s: float) -> "HausdorffFunction":
-        if not s > 0.0:
-            raise ValueError("power exponent must be positive")
+        if not 0.0 < s < INF:
+            raise InvalidInput(f"power exponent must be positive and finite, got {s!r}")
         return HausdorffFunction(kind="power", power=float(s))
 
     @staticmethod
@@ -72,24 +72,24 @@ class HausdorffFunction:
         constant after the last breakpoint."""
         pts = tuple((float(r), float(v)) for r, v in points)
         if not pts:
-            raise ValueError("table needs at least one breakpoint")
+            raise InvalidInput("table needs at least one breakpoint")
         rs = [r for r, _ in pts]
         vs = [v for _, v in pts]
-        if any(r <= 0.0 for r in rs) or sorted(rs) != rs or len(set(rs)) != len(rs):
-            raise ValueError("breakpoint radii must be positive and strictly increasing")
-        if any(v <= 0.0 for v in vs) or sorted(vs) != vs:
-            raise ValueError("breakpoint values must be positive and nondecreasing")
+        if any(not 0.0 < r < INF for r in rs) or sorted(rs) != rs or len(set(rs)) != len(rs):
+            raise InvalidInput("breakpoint radii must be positive, finite and strictly increasing")
+        if any(not 0.0 < v < INF for v in vs) or sorted(vs) != vs:
+            raise InvalidInput("breakpoint values must be positive, finite and nondecreasing")
         return HausdorffFunction(kind="table", table=pts)
 
     @staticmethod
     def constant_after_zero(c: float) -> "HausdorffFunction":
-        if not c > 0.0:
-            raise ValueError("constant must be positive")
+        if not 0.0 < c < INF:
+            raise InvalidInput(f"constant must be positive and finite, got {c!r}")
         return HausdorffFunction(kind="constant_after_zero", constant=float(c))
 
     def __call__(self, r: float) -> float:
         if r < 0.0:
-            raise ValueError("gauge argument must be nonnegative")
+            raise InvalidInput("gauge argument must be nonnegative")
         if self.kind == "power":
             return float(r) ** self.power
         if self.kind == "linear":
@@ -123,7 +123,7 @@ class Premeasure:
     @staticmethod
     def from_gauge(h: HausdorffFunction, diam_mode: str = "nominal") -> "Premeasure":
         if diam_mode not in ("nominal", "realized"):
-            raise ValueError("diam_mode must be 'nominal' or 'realized'")
+            raise InvalidInput("diam_mode must be 'nominal' or 'realized'")
         return Premeasure(kind="hausdorff", h=h, diam_mode=diam_mode)
 
     @staticmethod
@@ -131,14 +131,14 @@ class Premeasure:
         mu: PointMeasure, p: float, phi: HausdorffFunction, a: float, b: float
     ) -> "Premeasure":
         """c * mu(B)^p * phi(2 r) with c the midpoint of the band [a, b]."""
-        if p < 0.0 or a < 0.0 or b < a:
-            raise ValueError("need p >= 0 and 0 <= a <= b")
+        if not (0.0 <= p < INF and 0.0 <= a <= b < INF):
+            raise InvalidInput("need finite p >= 0 and 0 <= a <= b")
         return Premeasure(kind="measure_power", mu=mu, p=float(p), phi=phi, a=float(a), b=float(b))
 
     @staticmethod
     def constant_nonempty(c: float) -> "Premeasure":
-        if c < 0.0:
-            raise ValueError("constant must be nonnegative")
+        if not 0.0 <= c < INF:
+            raise InvalidInput(f"constant must be nonnegative and finite, got {c!r}")
         return Premeasure(kind="constant_nonempty", c=float(c))
 
 
@@ -156,7 +156,7 @@ def hxh_premeasure(
     the plain product of the two gauge premeasures pointwise.
     """
     if diam_mode not in ("nominal", "realized"):
-        raise ValueError("diam_mode must be 'nominal' or 'realized'")
+        raise InvalidInput("diam_mode must be 'nominal' or 'realized'")
     return Premeasure(kind="gauge_pair", h=h, h_right=h_right, diam_mode=diam_mode)
 
 
@@ -221,7 +221,10 @@ def weight_term(
     """Cost of one candidate: mu(B)^q * xi(B) in extended arithmetic.
 
     Zero mass with q <= 0 makes the power infinite; a vanishing
-    premeasure kills the product even then (0 * inf = 0).
+    premeasure kills the product even then (0 * inf = 0).  A NaN or
+    infinite q raises InvalidInput.
     """
+    if not -INF < q < INF:
+        raise InvalidInput(f"q must be finite, got {q!r}")
     m = ball_mass(space, measure, ball)
     return xmul(xpow(m, q), eval_premeasure(xi, space, ball))

@@ -170,3 +170,63 @@ def test_bad_premeasure_json(tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "premeasure, q",
+    [
+        ('{"kind": "hausdorff", "h": {"kind": "power", "s": -1}}', "0"),
+        ('{"kind": "hausdorff", "h": {"kind": "power", "s": NaN}}', "0"),
+        ('{"kind": "hausdorff", "h": {"kind": "power", "s": "x"}}', "0"),
+        ('{"kind": "hausdorff", "h": {"kind": "table", "points": 3}}', "0"),
+        ('{"kind": "hausdorff", "h": {"kind": "constant_after_zero", "c": Infinity}}', "0"),
+        ('{"kind": "constant", "c": -1}', "0"),
+        ('{"kind": "constant", "c": 1}', "nan"),
+        ('{"kind": "constant", "c": 1}', "inf"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, premeasure, q):
+    inst = tmp_path / "c.json"
+    main(["gen", "--kind", "cycle", "--n", "4", "--out", str(inst)])
+    capsys.readouterr()
+    code = main(
+        ["compute", "--instance", str(inst), "--premeasure", premeasure, "--q", q, "--delta", "1.0"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "dist, mass_b",
+    [
+        ([[0.0, float("nan")], [float("nan"), 0.0]], 0.5),
+        ([[0.0, float("inf")], [float("inf"), 0.0]], 0.5),
+        ([[0.0, 1.0], [1.0, 0.0]], float("nan")),
+    ],
+)
+def test_nonfinite_instance_exits_2_without_traceback(tmp_path, capsys, dist, mass_b):
+    inst = tmp_path / "bad.json"
+    doc = {
+        "points": ["a", "b"],
+        "dist": dist,
+        "measure": {"a": 0.5, "b": mass_b},
+        "epsilon_net": 0.5,
+    }
+    inst.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+    code = main(
+        [
+            "compute",
+            "--instance",
+            str(inst),
+            "--premeasure",
+            '{"kind": "constant", "c": 1}',
+            "--q",
+            "0",
+            "--delta",
+            "1.0",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

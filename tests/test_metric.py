@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmeasure import (
@@ -24,6 +24,8 @@ from fracmeasure.errors import (
     CoordsMismatch,
     DeltaBelowResolution,
     EpsilonAboveResolution,
+    InvalidInput,
+    NonFiniteDistance,
     NonPositiveEpsilon,
     SpaceValidationError,
     TriangleViolation,
@@ -93,6 +95,22 @@ def test_validate_collects_multiple_violations():
     assert AsymmetricDistance in kinds and NonPositiveEpsilon in kinds
 
 
+@pytest.mark.parametrize(
+    "dist, coords, kind",
+    [
+        ([[0.0, math.nan], [math.nan, 0.0]], None, NonFiniteDistance),
+        ([[0.0, math.nan], [1.0, 0.0]], None, NonFiniteDistance),
+        ([[0.0, math.inf], [math.inf, 0.0]], None, NonFiniteDistance),
+        (None, [[0.0], [math.nan]], NonFiniteDistance),
+        ([[0.0, 1.0], [1.0, 0.0]], [[0.0], [math.nan]], CoordsMismatch),
+    ],
+)
+def test_validate_rejects_nonfinite(dist, coords, kind):
+    with pytest.raises(SpaceValidationError) as exc:
+        validate_space(dist=dist, coords=coords, epsilon_net=0.1)
+    assert any(isinstance(v, kind) for v in exc.value.violations)
+
+
 def test_index_of_unknown_center(two_points):
     space, _ = two_points
     assert space.index_of("b") == 1
@@ -112,6 +130,13 @@ def test_point_measure_validation(two_points):
     m = point_measure(space, {"a": 1.0, "b": 0.0})
     assert m.support == frozenset({"a"})
     assert m.mass_of("b") == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_measure_rejects_nonfinite(two_points, bad):
+    space, _ = two_points
+    with pytest.raises(InvalidInput):
+        point_measure(space, {"a": 1.0, "b": bad})
 
 
 def test_ball_members_and_mass(line3):
@@ -194,10 +219,7 @@ def test_rectangle_enumeration_counts(two_points):
     assert len(rects) == 16
 
 
-@st.composite
-def small_space(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+def _seeded_space(n, seed):
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))
     diff = coords[:, None, :] - coords[None, :, :]
@@ -212,8 +234,16 @@ def small_space(draw):
     return validate_space(coords=coords, epsilon_net=eps)
 
 
+@st.composite
+def small_space(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return _seeded_space(n, seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_space(), st.floats(min_value=0.0, max_value=1.0))
+@example(space=_seeded_space(4, 0), frac=0.9999999999999999)
 def test_grid_radii_are_lossless(space, frac):
     """Any admissible radius is matched by a grid radius with equal members."""
     delta = float(space.dist.max())
@@ -222,7 +252,7 @@ def test_grid_radii_are_lossless(space, frac):
         grid = [
             b.radius
             for b in enumerate_centered_balls(space, [center], delta)
-            if b.radius <= rho + 1e-15
+            if b.radius <= rho
         ]
         assert grid, "the resolution radius itself is always on the grid"
         r = max(grid)

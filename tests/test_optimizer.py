@@ -8,11 +8,14 @@ from fracmeasure import (
     CandidateLimitExceeded,
     HausdorffFunction,
     INF,
+    InvalidInput,
     Premeasure,
+    SOLVER_TOL,
     SizeLimit,
     brute_force_oracle,
     build_cover_instance,
     build_product_cover_instance,
+    cantor_net,
     cycle_metric,
     delta_profile,
     hausdorff_premeasure,
@@ -22,6 +25,7 @@ from fracmeasure import (
     product_premeasure,
     product_premeasure_values,
     product_space,
+    random_cloud,
     solve_fractional,
     solve_integer,
     uniform_measure,
@@ -225,3 +229,66 @@ def test_oracle_agreement_random_instances():
             assert math.isinf(sol_f.value)
         else:
             assert sol_f.value == pytest.approx(frac_opt, abs=1e-7)
+
+
+# --- 1-D instances: an exact oracle far beyond the brute-force limit -----
+#
+# On a line every candidate ball meets the target in a contiguous run, so
+# the incidence matrix is an interval matrix, totally unimodular: the LP
+# optimum is integral and equals the integer optimum.  Branch and bound
+# must then close at the root, taking the LP solution as its incumbent.
+
+_CANTOR_GAUGE = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))
+
+
+def _line_space(name):
+    if name == "cloud1d":
+        space = random_cloud(30, 1, 11)
+        return space, uniform_measure(space)
+    return cantor_net(int(name.removeprefix("cantor")))
+
+
+@pytest.mark.parametrize("name", ["cantor3", "cantor4", "cantor5", "cloud1d"])
+@pytest.mark.parametrize("q", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_line_integer_matches_fractional_at_root(name, q):
+    space, measure = _line_space(name)
+    target = set(space.point_ids)
+    for delta in (0.5, 0.2, 0.1):
+        inst = build_cover_instance(space, measure, q, _CANTOR_GAUGE, space.point_ids, delta)
+        h = solve_integer(inst)
+        w = solve_fractional(inst)
+        assert abs(h.value - w.value) <= SOLVER_TOL
+        assert h.nodes == 1
+        # the chosen candidates form a cover, valued by the plain cost sum
+        assert set().union(*(inst.covered[i] for i in h.chosen)) >= target
+        assert sum(inst.costs[i] for i in h.chosen) == h.value
+
+
+@pytest.mark.parametrize(
+    "cloud, q, delta",
+    [((16, 2, 3), 0.0, 0.5), ((12, 2, 1), 1.0, 0.5)],
+)
+def test_integer_search_is_scale_invariant(cloud, q, delta):
+    """Scaling every cost by 1e6 scales H and leaves the search unchanged."""
+    space = random_cloud(*cloud)
+    measure = uniform_measure(space)
+    sols = [
+        solve_integer(
+            build_cover_instance(
+                space, measure, q, Premeasure.constant_nonempty(c), space.point_ids, delta
+            )
+        )
+        for c in (1.0, 1e6)
+    ]
+    assert sols[0].nodes == sols[1].nodes
+    assert sols[1].value / sols[0].value == pytest.approx(1e6, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "solve", [hausdorff_premeasure, weighted_premeasure, noncentered_weighted_premeasure]
+)
+def test_nonfinite_q_is_rejected(two_points, linear_gauge, solve, q):
+    space, measure = two_points
+    with pytest.raises(InvalidInput):
+        solve(space, measure, q, linear_gauge, space.point_ids, 0.6)
