@@ -272,6 +272,11 @@ def _cmd_verify(args) -> int:
         reports.append(report)
         state = "PASS" if report.passed else "FAIL"
         print(f"{report.name}: {state} ({report.cases} cases)")
+        for tol in report.tolerances:
+            kind = "check tolerance" if tol.configured else "fixed"
+            print(f"  tolerance {tol.tol!r} ({kind}): {tol.relation}")
+        if not report.applies_check_tol:
+            print(f"  the check tolerance {check_tol!r} is not applied by this suite")
         for line in report.violations:
             print(f"  {line}")
         failed = failed or not report.passed
@@ -283,6 +288,8 @@ def _cmd_verify(args) -> int:
                         "suite": r.name,
                         "cases": r.cases,
                         "violations": r.violations,
+                        "tolerances": [t._asdict() for t in r.tolerances],
+                        "applies_check_tol": r.applies_check_tol,
                     }
                     for r in reports
                 ],

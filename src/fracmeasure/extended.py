@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["INF", "xmul", "xpow", "xdiv"]
+import numpy as np
+
+__all__ = ["INF", "xmul", "xmul_array", "xpow", "xdiv"]
 
 INF = math.inf
 
@@ -27,6 +29,12 @@ def xmul(a: float, b: float) -> float:
     if a == 0.0 or b == 0.0:
         return 0.0
     return a * b
+
+
+def xmul_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`xmul`: the IEEE product, with 0 * inf = 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
 def xpow(base: float, q: float) -> float:

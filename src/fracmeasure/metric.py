@@ -23,7 +23,7 @@ product-metric balls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +53,10 @@ __all__ = [
     "ball_mass",
     "dilate",
     "enumerate_centered_balls",
+    "BallGrid",
+    "RectangleGrid",
+    "ball_grid",
+    "rectangle_grid",
     "product_space",
     "product_measure",
     "enumerate_centered_rectangles",
@@ -313,31 +317,128 @@ def dilate(ball: Ball | Rectangle, factor: float) -> Ball | Rectangle:
     return Ball(center=ball.center, radius=ball.radius * factor)
 
 
+def take_segments(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values[starts[i] : starts[i] + counts[i]]`` for every ``i``, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return values[np.repeat(starts - (ends - counts), counts) + np.arange(total)]
+
+
+def csr_offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointer of rows with the given lengths."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+class BallGrid(NamedTuple):
+    """The lossless candidate family of ``enumerate_centered_balls`` as arrays.
+
+    Row ``u`` of ``order`` lists the point indices by distance from the
+    center ``centers[u]`` (a stable argsort, cut after the longest prefix
+    any candidate needs).  Candidate ``j`` is the ball of radius
+    ``radius[j]`` around ``centers[row[j]]``; its members are the first
+    ``length[j]`` entries of that row.  Candidates run by center index,
+    then by radius.
+    """
+
+    space: FiniteMetricSpace
+    centers: np.ndarray
+    order: np.ndarray
+    row: np.ndarray
+    radius: np.ndarray
+    length: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.radius)
+
+    def balls(self) -> list[Ball]:
+        ids = self.space.point_ids
+        return [
+            Ball(center=ids[c], radius=r)
+            for c, r in zip(self.centers[self.row].tolist(), self.radius.tolist())
+        ]
+
+    def diameter(self, mode: str) -> np.ndarray:
+        """Nominal (2 r) or realized (largest member distance) diameter per candidate."""
+        if mode == "nominal":
+            return 2.0 * self.radius
+        # Prefix diameters: a running maximum over each new member's
+        # farthest earlier member.
+        span = np.empty(self.order.shape)
+        for u, o in enumerate(self.order):
+            span[u] = np.maximum.accumulate(np.tril(self.space.dist[np.ix_(o, o)]).max(axis=1))
+        return span[self.row, self.length - 1]
+
+    def mass(self, measure: PointMeasure) -> np.ndarray:
+        """Member mass per candidate, summed by distance from the center."""
+        w = np.array([measure.mass_of(p) for p in self.space.point_ids])
+        return np.cumsum(w[self.order], axis=1)[self.row, self.length - 1]
+
+    def indicator(self) -> np.ndarray:
+        """Dense 0/1 membership matrix, candidates by points."""
+        inside = np.arange(self.order.shape[1]) < self.length[:, None]
+        out = np.zeros((self.size, self.space.n))
+        out[np.nonzero(inside)[0], self.order[self.row][inside]] = 1.0
+        return out
+
+    def incidence(self, target: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the members in ``target``, as positions in it."""
+        positions = np.full(self.space.n, -1, dtype=np.intp)
+        positions[[self.space.index_of(p) for p in target]] = np.arange(len(target))
+        pos = positions[self.order]
+        inside = pos >= 0
+        row_total = inside.sum(axis=1)
+        counts = np.cumsum(inside, axis=1)[self.row, self.length - 1]
+        starts = (np.cumsum(row_total) - row_total)[self.row]
+        return csr_offsets(counts), take_segments(pos[inside], starts, counts)
+
+
+def ball_grid(space: FiniteMetricSpace, centers: Iterable, delta: float) -> BallGrid:
+    """The candidates of ``enumerate_centered_balls`` as a :class:`BallGrid`.
+
+    One stable argsort per center row; each grid radius becomes the
+    length of the prefix of points within it.
+    """
+    if not delta >= space.epsilon_net:  # also rejects NaN
+        raise DeltaBelowResolution(float(delta), space.epsilon_net)
+    rows = np.array(sorted({space.index_of(c) for c in centers}), dtype=np.intp)
+    dist = space.dist[rows]
+    order = np.argsort(dist, axis=1, kind="stable")
+    srt = np.take_along_axis(dist, order, axis=1)
+    eps = space.epsilon_net
+    # Each realized distance in (0, delta], at the last entry of its run of ties.
+    last = np.ones(srt.shape, dtype=bool)
+    last[:, :-1] = srt[:, 1:] != srt[:, :-1]
+    r_row, r_at = np.nonzero(last & (srt > 0.0) & (srt <= delta))
+    # The floor joins every grid where it is not realized already.
+    e_len = np.count_nonzero(srt <= eps, axis=1)
+    e_row = np.flatnonzero(srt[np.arange(len(rows)), e_len - 1] != eps)
+    row = np.concatenate([r_row, e_row])
+    radius = np.concatenate([srt[r_row, r_at], np.full(len(e_row), eps)])
+    length = np.concatenate([r_at + 1, e_len[e_row]])
+    k = np.lexsort((radius, row))
+    return BallGrid(
+        space=space,
+        centers=rows,
+        order=order[:, : length.max(initial=0)],
+        row=row[k],
+        radius=radius[k],
+        length=length[k],
+    )
+
+
 def enumerate_centered_balls(
     space: FiniteMetricSpace, centers: Iterable, delta: float
 ) -> list[Ball]:
     """Finite lossless candidate family for covers at scale ``delta``.
 
     For each center the radius grid is every realized distance from the
-    center in (0, delta] plus the floor epsilon_net, intersected with
-    [epsilon_net, delta].  Requires delta >= epsilon_net.
+    center in (0, delta] plus the floor epsilon_net.  Requires
+    delta >= epsilon_net.  Balls run by center index, then by radius.
     """
-    if not delta >= space.epsilon_net:  # also rejects NaN
-        raise DeltaBelowResolution(float(delta), space.epsilon_net)
-    balls: list[Ball] = []
-    seen: set[tuple] = set()
-    order = sorted({space.index_of(c) for c in centers})
-    for ci in order:
-        row = space.dist[ci]
-        realized = np.unique(row[(row > 0.0) & (row <= delta)])
-        radii = np.unique(np.concatenate([[space.epsilon_net], realized]))
-        cid = space.point_ids[ci]
-        for r in radii:
-            key = (ci, float(r))
-            if key not in seen:
-                seen.add(key)
-                balls.append(Ball(center=cid, radius=float(r)))
-    return balls
+    return ball_grid(space, centers, delta).balls()
 
 
 # --- products -----------------------------------------------------------
@@ -381,3 +482,75 @@ def enumerate_centered_rectangles(
     lballs = enumerate_centered_balls(product.left, left_centers, delta)
     rballs = enumerate_centered_balls(product.right, right_centers, delta)
     return [Rectangle(left=a, right=b) for a in lballs for b in rballs]
+
+
+class RectangleGrid(NamedTuple):
+    """Rectangle candidates of a product: pairs of factor grid candidates.
+
+    Rectangle ``j`` pairs left candidate ``left_at[j]`` with right
+    candidate ``right_at[j]``.  Rectangles run by left center, right
+    center, left radius, right radius.
+    """
+
+    product: ProductSpace
+    left: BallGrid
+    right: BallGrid
+    left_at: np.ndarray
+    right_at: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.left_at)
+
+    def rectangles(self) -> list[Rectangle]:
+        lb, rb = self.left.balls(), self.right.balls()
+        return [
+            Rectangle(left=lb[i], right=rb[j])
+            for i, j in zip(self.left_at.tolist(), self.right_at.tolist())
+        ]
+
+    def diameter(self, mode: str) -> np.ndarray:
+        """The larger factor diameter: nominal max(2 r, 2 r') or realized."""
+        return np.maximum(
+            self.left.diameter(mode)[self.left_at], self.right.diameter(mode)[self.right_at]
+        )
+
+    def mass(self, measure: PointMeasure) -> np.ndarray:
+        """Member mass per rectangle under a measure on id pairs."""
+        shape = (self.product.left.n, self.product.right.n)
+        w = np.array([measure.mass_of(p) for p in self.product.space.point_ids]).reshape(shape)
+        pair = self.left.indicator() @ w @ self.right.indicator().T
+        return pair[self.left_at, self.right_at]
+
+    def incidence(self, left_target: Sequence, right_target: Sequence):
+        """CSR of the members in E x F; the pair (E[k], F[l]) has position k |F| + l.
+
+        Each rectangle's incidence is the Kronecker product of its
+        factors' incidences.
+        """
+        lp, li = self.left.incidence(left_target)
+        rp, ri = self.right.incidence(right_target)
+        lc = np.diff(lp)[self.left_at]
+        rc = np.diff(rp)[self.right_at]
+        counts = lc * rc
+        indptr = csr_offsets(counts)
+        within = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+        a, b = np.divmod(within, np.repeat(rc, counts))
+        indices = (
+            li[np.repeat(lp[self.left_at], counts) + a] * len(right_target)
+            + ri[np.repeat(rp[self.right_at], counts) + b]
+        )
+        return indptr, indices
+
+
+def rectangle_grid(
+    product: ProductSpace, left_centers: Iterable, right_centers: Iterable, delta: float
+) -> RectangleGrid:
+    """The rectangles of ``enumerate_centered_rectangles`` as a :class:`RectangleGrid`."""
+    if not delta >= product.epsilon_net:  # also rejects NaN
+        raise DeltaBelowResolution(float(delta), product.epsilon_net)
+    left = ball_grid(product.left, left_centers, delta)
+    right = ball_grid(product.right, right_centers, delta)
+    li, ri = np.divmod(np.arange(left.size * right.size), max(right.size, 1))
+    k = np.lexsort((ri, li, right.row[ri], left.row[li]))
+    return RectangleGrid(product=product, left=left, right=right, left_at=li[k], right_at=ri[k])

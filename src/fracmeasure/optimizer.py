@@ -15,6 +15,11 @@ fail to cover E the value is infinity (status ``infeasible-infinite``).
 Candidates of infinite cost never enter a solution; candidates of zero
 cost are always safe to take.
 
+Both solvers read one array-native instance: a CSR incidence of the
+candidates on the target and a cost array, built from one stable
+argsort per center row (``metric.ball_grid``), or, on products, from
+the Kronecker product of the factor incidences.
+
 The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
 cost covering each, divided by the maximum coverage of any single
@@ -28,7 +33,7 @@ shrunk relatively; an absolute margin would never let a tight bound
 prune once H > 1.  The first incumbent is the greedy cover.  Whenever a
 node's LP solution is integral (always so on a line, where the
 incidence is an interval matrix and hence totally unimodular), its
-support joined with the node's picks is checked against the bit masks
+support joined with the node's picks is checked against the incidence
 and, if it covers, offered as an incumbent valued by the plain sum of
 its costs, never by the LP objective.  Branching picks the uncovered
 point covered by the fewest still-allowed candidates and tries its
@@ -36,16 +41,17 @@ candidates in the global order (descending coverage per unit cost, ties
 by lexicographic (center, radius)), excluding earlier branches from
 later ones, which makes the search exhaustive without repetition and
 deterministic.  If the node budget is exhausted, instances of at most
-20 candidates fall back to exhaustive subset enumeration; larger ones
+20 candidates fall back to the subset scan that also serves
+``brute_force_oracle``; larger ones
 raise CandidateLimitExceeded carrying the proven bound bracket.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -60,16 +66,24 @@ from .errors import (
 )
 from .extended import INF, SOLVER_TOL
 from .metric import (
-    Ball,
     FiniteMetricSpace,
     PointMeasure,
     ProductSpace,
-    Rectangle,
+    ball_grid,
+    csr_offsets,
+    rectangle_grid,
+    take_segments,
+)
+from .premeasure import Premeasure, weight_terms
+
+# The per-candidate scalar functions are no longer called here, but
+# perfbench/tracer.py wraps them by these names in this module.
+from .metric import (  # noqa: F401
     ball_members,
     enumerate_centered_balls,
     enumerate_centered_rectangles,
 )
-from .premeasure import Premeasure, weight_term
+from .premeasure import weight_term  # noqa: F401
 
 __all__ = [
     "CoverInstance",
@@ -102,13 +116,33 @@ _INTEGRAL_TOL = 1e-9  # LP solution entries this close to an integer count as in
 
 @dataclass(frozen=True, eq=False)
 class CoverInstance:
-    """Frozen covering problem: candidates, costs and target incidence."""
+    """Frozen covering problem: candidates, their costs and the target incidence.
+
+    The incidence is CSR: the members of candidate ``j`` inside the
+    target are the target positions ``indices[indptr[j]:indptr[j + 1]]``
+    (in no particular order), and ``costs[j]`` is its cost.  ``covered``
+    is a derived read-only view of the same incidence, as frozensets of
+    target ids.
+    """
 
     space: FiniteMetricSpace | ProductSpace
     target: tuple
     candidates: tuple
-    costs: tuple[float, ...]
-    covered: tuple[frozenset, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    costs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.indptr, self.indices, self.costs):
+            arr.setflags(write=False)
+
+    @cached_property
+    def covered(self) -> tuple[frozenset, ...]:
+        tgt, bounds = self.target, self.indptr.tolist()
+        return tuple(
+            frozenset(tgt[k] for k in self.indices[a:b].tolist())
+            for a, b in zip(bounds, bounds[1:])
+        )
 
 
 @dataclass(frozen=True)
@@ -145,26 +179,22 @@ class DeltaProfile:
     rows: tuple[ProfileRow, ...]
 
 
-def _lex_key(space, cand) -> tuple:
-    if isinstance(cand, Rectangle):
-        base = space.left if isinstance(space, ProductSpace) else space
-        rbase = space.right if isinstance(space, ProductSpace) else space
-        return (
-            base.index_of(cand.left.center),
-            rbase.index_of(cand.right.center),
-            cand.left.radius,
-            cand.right.radius,
-        )
-    base = space.space if isinstance(space, ProductSpace) else space
-    return (base.index_of(cand.center), cand.radius)
-
-
-def _sorted_target(space, points: Iterable) -> tuple:
-    base = space.space if isinstance(space, ProductSpace) else space
+def _sorted_target(space: FiniteMetricSpace, points: Iterable) -> tuple:
     pts = set(points)
     for p in pts:
-        base.index_of(p)  # raises UnknownCenter on bad ids
-    return tuple(sorted(pts, key=base.index_of))
+        space.index_of(p)  # raises UnknownCenter on bad ids
+    return tuple(sorted(pts, key=space.index_of))
+
+
+def _empty_instance(space) -> CoverInstance:
+    return CoverInstance(
+        space=space,
+        target=(),
+        candidates=(),
+        indptr=np.zeros(1, dtype=np.intp),
+        indices=np.zeros(0, dtype=np.intp),
+        costs=np.zeros(0),
+    )
 
 
 def build_cover_instance(
@@ -176,17 +206,22 @@ def build_cover_instance(
     delta: float,
     centers: Iterable | None = None,
 ) -> CoverInstance:
-    """Candidates centered in the target (or in ``centers`` when given)."""
+    """Candidates centered in the target (or in ``centers`` when given).
+
+    Candidates run by center index, then by radius.
+    """
     tgt = _sorted_target(space, target)
     if not tgt:
-        return CoverInstance(space=space, target=(), candidates=(), costs=(), covered=())
-    cands = enumerate_centered_balls(space, tgt if centers is None else centers, delta)
-    cands.sort(key=lambda b: _lex_key(space, b))
-    tset = set(tgt)
-    costs = tuple(weight_term(space, measure, q, xi, b) for b in cands)
-    covered = tuple(ball_members(space, b) & tset for b in cands)
+        return _empty_instance(space)
+    grid = ball_grid(space, tgt if centers is None else centers, delta)
+    indptr, indices = grid.incidence(tgt)
     return CoverInstance(
-        space=space, target=tgt, candidates=tuple(cands), costs=costs, covered=covered
+        space=space,
+        target=tgt,
+        candidates=tuple(grid.balls()),
+        indptr=indptr,
+        indices=indices,
+        costs=weight_terms(grid, measure, q, xi),
     )
 
 
@@ -199,43 +234,78 @@ def build_product_cover_instance(
     right_target: Iterable,
     delta: float,
 ) -> CoverInstance:
-    """Rectangle candidates for the target E x F inside a product space."""
+    """Rectangle candidates for the target E x F inside a product space.
+
+    The target runs in the (a, b) row-major order of ``product.space``;
+    rectangles run by left center, right center, left radius, right
+    radius.
+    """
     lt = _sorted_target(product.left, left_target)
     rt = _sorted_target(product.right, right_target)
-    tgt = _sorted_target(product, ((a, b) for a in lt for b in rt))
+    tgt = tuple((a, b) for a in lt for b in rt)
     if not tgt:
-        return CoverInstance(space=product, target=(), candidates=(), costs=(), covered=())
-    rects = enumerate_centered_rectangles(product, lt, rt, delta)
-    rects.sort(key=lambda r: _lex_key(product, r))
-    tset = set(tgt)
-    costs = tuple(weight_term(product, pair_measure, q, xi, r) for r in rects)
-    covered = tuple(ball_members(product, r) & tset for r in rects)
+        return _empty_instance(product)
+    grid = rectangle_grid(product, lt, rt, delta)
+    indptr, indices = grid.incidence(lt, rt)
     return CoverInstance(
-        space=product, target=tgt, candidates=tuple(rects), costs=costs, covered=covered
+        space=product,
+        target=tgt,
+        candidates=tuple(grid.rectangles()),
+        indptr=indptr,
+        indices=indices,
+        costs=weight_terms(grid, pair_measure, q, xi),
+    )
+
+
+class _Incidence(NamedTuple):
+    """A 0/1 matrix of target rows by columns, stored by columns and by rows.
+
+    Column ``j`` covers the rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``;
+    row ``k`` is covered by the columns
+    ``row_cols[row_ptr[k]:row_ptr[k + 1]]``, ascending, and ``row_of``
+    holds the row of each entry of ``row_cols``.
+    """
+
+    col_ptr: np.ndarray
+    col_rows: np.ndarray
+    row_ptr: np.ndarray
+    row_cols: np.ndarray
+    row_of: np.ndarray
+
+
+def _incidence(instance: CoverInstance, cols: np.ndarray) -> _Incidence:
+    """The target incidence of the candidates ``cols``, as columns in that order."""
+    m = len(instance.target)
+    starts = instance.indptr[cols]
+    counts = instance.indptr[cols + 1] - starts
+    col_rows = take_segments(instance.indices, starts, counts)
+    by_row = np.argsort(col_rows, kind="stable")
+    return _Incidence(
+        col_ptr=csr_offsets(counts),
+        col_rows=col_rows,
+        row_ptr=csr_offsets(np.bincount(col_rows, minlength=m)),
+        row_cols=np.repeat(np.arange(len(cols)), counts)[by_row],
+        row_of=col_rows[by_row],
     )
 
 
 # --- shared LP core -----------------------------------------------------
 
 
-def _covering_lp(costs: np.ndarray, rows_per_col: list[np.ndarray], m: int):
-    """Solve min c.x, sum of x over candidates covering each row >= 1, x >= 0.
+def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
+    """Solve min c.x, x >= 0, with the x of each row's columns summing to >= 1.
 
-    Returns (value, x, y) with y the dual potentials of the row
-    constraints, or None when the LP is infeasible.
+    The 0/1 constraint matrix is given by rows: row ``k`` holds the
+    columns ``row_cols[row_ptr[k]:row_ptr[k + 1]]``, ascending.  Returns
+    (value, x, y) with y the dual potentials of the row constraints, or
+    None when the LP is infeasible.
     """
-    n = len(rows_per_col)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for j, rows in enumerate(rows_per_col):
-        indptr[j + 1] = indptr[j] + len(rows)
-    indices = (
-        np.concatenate(rows_per_col) if n else np.zeros(0, dtype=np.int64)
-    )
-    data = np.ones(len(indices))
-    a = sparse.csc_matrix((data, indices, indptr), shape=(m, n))
+    m = len(row_ptr) - 1
     res = linprog(
         c=costs,
-        A_ub=-a.tocsr(),
+        A_ub=sparse.csr_matrix(
+            (np.full(len(row_cols), -1.0), row_cols, row_ptr), shape=(m, len(costs))
+        ),
         b_ub=-np.ones(m),
         bounds=(0, None),
         method="highs",
@@ -256,19 +326,6 @@ def _covering_lp(costs: np.ndarray, rows_per_col: list[np.ndarray], m: int):
 
 # --- fractional solver --------------------------------------------------
 
-def _finite_columns(instance: CoverInstance):
-    tindex = {p: k for k, p in enumerate(instance.target)}
-    cols: list[int] = []
-    rows_per_col: list[np.ndarray] = []
-    for i, c in enumerate(instance.costs):
-        if math.isinf(c):
-            continue
-        cols.append(i)
-        rows_per_col.append(
-            np.array(sorted(tindex[p] for p in instance.covered[i]), dtype=np.int64)
-        )
-    return tindex, cols, rows_per_col
-
 
 def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     """Weighted covering optimum with a verified dual certificate.
@@ -278,25 +335,23 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     NumericalFailure with the primal/dual bracket.
     """
     m = len(instance.target)
-    n = len(instance.candidates)
+    n = len(instance.costs)
     if m == 0:
         return FractionalCoverSolution(
             weights=(), value=0.0, dual={}, gap=0.0, status="optimal"
         )
-    tindex, cols, rows_per_col = _finite_columns(instance)
-    covered_rows: set[int] = set()
-    for rows in rows_per_col:
-        covered_rows.update(int(r) for r in rows)
-    if len(covered_rows) < m:
+    cols = np.flatnonzero(np.isfinite(instance.costs))
+    inc = _incidence(instance, cols)
+    if not np.all(np.diff(inc.row_ptr)):  # a point no finite-cost candidate covers
         return FractionalCoverSolution(
-            weights=tuple(0.0 for _ in range(n)),
+            weights=(0.0,) * n,
             value=INF,
             dual={},
             gap=0.0,
             status="infeasible-infinite",
         )
-    costs = np.array([instance.costs[i] for i in cols])
-    out = _covering_lp(costs, rows_per_col, m)
+    costs = instance.costs[cols]
+    out = _covering_lp(costs, inc.row_ptr, inc.row_cols)
     if out is None:
         raise NumericalFailure(
             INF, 0.0, "LP reported infeasible although finite-cost candidates cover the target"
@@ -304,54 +359,52 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     value, x, y = out
 
     # Certificate checks.
-    coverage = np.zeros(m)
-    for j, rows in enumerate(rows_per_col):
-        coverage[rows] += x[j]
+    coverage = np.bincount(inc.row_of, weights=x[inc.row_cols], minlength=m)
     if np.any(coverage < 1.0 - SOLVER_TOL):
         raise NumericalFailure(value, float(y.sum()), "primal cover constraint violated")
-    for j, rows in enumerate(rows_per_col):
-        if y[rows].sum() > costs[j] + SOLVER_TOL:
-            raise NumericalFailure(value, float(y.sum()), "dual feasibility violated")
+    loads = np.bincount(inc.row_cols, weights=y[inc.row_of], minlength=len(cols))
+    if np.any(loads > costs + SOLVER_TOL):
+        raise NumericalFailure(value, float(y.sum()), "dual feasibility violated")
     gap = abs(value - float(y.sum()))
     if gap > SOLVER_TOL * max(1.0, value):
         raise NumericalFailure(value, float(y.sum()), "duality gap above tolerance")
 
-    weights = [0.0] * n
-    for j, i in enumerate(cols):
-        weights[i] = float(x[j])
-    dual = {p: float(y[tindex[p]]) for p in instance.target}
+    weights = np.zeros(n)
+    weights[cols] = x
     return FractionalCoverSolution(
-        weights=tuple(weights), value=value, dual=dual, gap=gap, status="optimal"
+        weights=tuple(weights.tolist()),
+        value=value,
+        dual=dict(zip(instance.target, y.tolist())),
+        gap=gap,
+        status="optimal",
     )
 
 
 # --- integer solver -----------------------------------------------------
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
+def _greedy_cover(cost: np.ndarray, inc: _Incidence, rem: np.ndarray) -> list[int] | None:
+    """Deterministic greedy incumbent: max new coverage per unit cost.
 
-
-def _greedy_cover(order, costs, masks, remaining: int):
-    """Deterministic greedy incumbent: max new coverage per unit cost."""
-    chosen: list[int] = []
-    rem = remaining
-    while rem:
-        best_i = -1
-        best_score = -1.0
-        for i in order:
-            gain = _popcount(masks[i] & rem)
-            if gain == 0:
-                continue
-            score = gain / costs[i]
-            if score > best_score:
-                best_score = score
-                best_i = i
-        if best_i < 0:
+    Columns are in the global order and ``rem`` marks the rows still to
+    cover.  Ties go to the first column in that order.  Gains are kept
+    up to date incrementally.
+    """
+    rem = rem.copy()
+    gain = np.bincount(inc.row_cols[rem[inc.row_of]], minlength=len(cost))
+    picks: list[int] = []
+    while rem.any():
+        p = int(np.argmax(gain / cost))
+        if gain[p] == 0:
             return None
-        chosen.append(best_i)
-        rem &= ~masks[best_i]
-    return chosen
+        picks.append(p)
+        new = inc.col_rows[inc.col_ptr[p] : inc.col_ptr[p + 1]]
+        new = new[rem[new]]
+        rem[new] = False
+        starts = inc.row_ptr[new]
+        hit = take_segments(inc.row_cols, starts, inc.row_ptr[new + 1] - starts)
+        gain -= np.bincount(hit, minlength=len(cost))
+    return picks
 
 
 class _NodeBudget(Exception):
@@ -367,204 +420,159 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     m = len(instance.target)
     if m == 0:
         return IntegerCoverSolution(chosen=(), value=0.0, status="optimal", nodes=0)
-    tindex = {p: k for k, p in enumerate(instance.target)}
-    full = (1 << m) - 1
+    costs = instance.costs
+    sizes = np.diff(instance.indptr)
+    owner = np.repeat(np.arange(len(costs)), sizes)  # candidate of each incidence entry
+    finite = np.isfinite(costs)
+    zero = costs == 0.0
 
-    free: list[int] = []
-    act: list[int] = []  # finite positive cost
-    for i, c in enumerate(instance.costs):
-        if math.isinf(c):
-            continue
-        if c == 0.0:
-            if instance.covered[i]:
-                free.append(i)
-        else:
-            act.append(i)
-
-    mask_of = {}
-    for i in free + act:
-        mk = 0
-        for p in instance.covered[i]:
-            mk |= 1 << tindex[p]
-        mask_of[i] = mk
-
-    free_mask = 0
-    for i in free:
-        free_mask |= mask_of[i]
-    reachable = free_mask
-    for i in act:
-        reachable |= mask_of[i]
-    if reachable != full:
+    reachable = np.zeros(m, dtype=bool)
+    reachable[instance.indices[finite[owner]]] = True
+    if not reachable.all():
         return IntegerCoverSolution(chosen=(), value=INF, status="infeasible-infinite", nodes=0)
+    free = np.flatnonzero(zero & (sizes > 0)).tolist()
+    remaining0 = np.ones(m, dtype=bool)
+    remaining0[instance.indices[zero[owner]]] = False
+    if not remaining0.any():
+        return IntegerCoverSolution(chosen=tuple(free), value=0.0, status="optimal", nodes=0)
 
-    remaining0 = full & ~free_mask
-    if remaining0 == 0:
-        return IntegerCoverSolution(
-            chosen=tuple(sorted(free)), value=0.0, status="optimal", nodes=0
-        )
-
-    # Candidates that matter for the residual problem, in the global order.
-    act = [i for i in act if mask_of[i] & remaining0]
-    costs = {i: instance.costs[i] for i in act}
-    order = sorted(
-        act,
-        key=lambda i: (
-            -(_popcount(mask_of[i] & remaining0) / costs[i]),
-            _lex_key(instance.space, instance.candidates[i]),
-        ),
-    )
-
-    point_cands: list[list[int]] = [[] for _ in range(m)]
-    for i in order:
-        mk = mask_of[i] & remaining0
-        while mk:
-            low = mk & -mk
-            point_cands[low.bit_length() - 1].append(i)
-            mk ^= low
-    cheapest = [0.0] * m
-    for k in range(m):
-        if remaining0 >> k & 1:
-            cheapest[k] = min(costs[i] for i in point_cands[k])
-    maxcov = max(_popcount(mask_of[i] & remaining0) for i in order)
+    # Columns: finite positive-cost candidates that meet the residual
+    # problem, in the global order (descending coverage per unit cost,
+    # ties by candidate index, which is lexicographic (center, radius)).
+    gain0 = np.bincount(owner[remaining0[instance.indices]], minlength=len(costs))
+    act = np.flatnonzero(finite & ~zero & (gain0 > 0))
+    order = act[np.argsort(-(gain0[act] / costs[act]), kind="stable")]
+    n = len(order)
+    cost = costs[order]
+    cost_of = costs.tolist()
+    inc = _incidence(instance, order)
+    filled = np.diff(inc.row_ptr) > 0
+    cheapest = np.zeros(m)
+    cheapest[filled] = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1][filled])
+    cheapest = cheapest.tolist()
+    maxcov = int(gain0[order].max())
 
     best_val: float = INF
     best_set: list[int] = []
 
-    def record(cols: list[int]) -> None:
+    def record(cols) -> None:
         # Incumbents are valued by the plain sum of their costs, never by
         # an LP objective, so soundness does not rest on LP accuracy.
         nonlocal best_val, best_set
-        cols = sorted(cols)
-        val = sum(costs[i] for i in cols)
+        ids = sorted(order[cols].tolist())
+        val = sum(cost_of[i] for i in ids)
         if val < best_val:
-            best_val, best_set = val, cols
+            best_val, best_set = val, ids
 
     def pruned(bound: float) -> bool:
         if best_val == INF:  # inf - inf is NaN; only an empty subtree prunes
             return bound == INF
         return bound >= best_val - _PRUNE_REL * max(1.0, best_val)
 
-    g = _greedy_cover(order, costs, mask_of, remaining0)
+    g = _greedy_cover(cost, inc, remaining0)
     if g is None:  # unreachable: coverage was checked above
         raise OptimizerInternalError("greedy failed on a coverable instance")
     record(g)
 
-    banned = {i: False for i in order}
+    banned = np.zeros(n, dtype=bool)
     nodes = 0
     root_lower = 0.0
 
-    def cheap_bound(rem: int) -> float:
-        s = 0.0
-        mk = rem
-        while mk:
-            low = mk & -mk
-            s += cheapest[low.bit_length() - 1]
-            mk ^= low
-        return s / maxcov
+    def lp_bound(rem: np.ndarray, keep: np.ndarray, live: np.ndarray):
+        """Certified LP lower bound, and the LP's picks when they are integral.
 
-    def lp_bound(rem: int) -> tuple[float, list[int], np.ndarray | None]:
-        """Certified LP lower bound, the LP columns and their primal values."""
-        rows = []
-        mk = rem
-        while mk:
-            low = mk & -mk
-            rows.append(low.bit_length() - 1)
-            mk ^= low
-        rowpos = {r: k for k, r in enumerate(rows)}
-        cols = []
-        rows_per_col = []
-        for i in order:
-            if banned[i]:
-                continue
-            mki = mask_of[i] & rem
-            if not mki:
-                continue
-            cols.append(i)
-            rr = []
-            while mki:
-                low = mki & -mki
-                rr.append(rowpos[low.bit_length() - 1])
-                mki ^= low
-            rows_per_col.append(np.array(sorted(rr), dtype=np.int64))
-        if not cols:
-            return INF, cols, None
-        costs_arr = np.array([costs[i] for i in cols])
-        out = _covering_lp(costs_arr, rows_per_col, len(rows))
+        ``keep`` marks the entries (by rows) of allowed columns on rows
+        of ``rem``; ``live`` counts them per row.  The picks are returned
+        only when they cover ``rem``.
+        """
+        in_lp = np.zeros(n, dtype=bool)
+        in_lp[inc.row_cols[keep]] = True
+        cols = np.flatnonzero(in_lp)
+        if not cols.size:
+            return INF, None
+        row_ptr = csr_offsets(live[rem])
+        row_cols = (np.cumsum(in_lp) - 1)[inc.row_cols[keep]]
+        costs_arr = cost[cols]
+        out = _covering_lp(costs_arr, row_ptr, row_cols)
         if out is None:
-            return INF, cols, None
-        x = out[1]
+            return INF, None
+        _, x, y = out
+        row_of = np.repeat(np.arange(len(row_ptr) - 1), np.diff(row_ptr))
+        integral = None
+        if np.all(np.abs(x - np.round(x)) <= _INTEGRAL_TOL):
+            picks = x > 0.5
+            hit = np.zeros(len(row_ptr) - 1, dtype=bool)
+            hit[row_of[picks[row_cols]]] = True
+            if hit.all():
+                integral = cols[picks]
         # Certified bound by weak duality: scale the dual so every
         # column sum sits below its cost, making the dual objective a
         # true lower bound regardless of solver rounding.
-        y = out[2]
+        sums = np.bincount(row_cols, weights=y[row_of], minlength=len(cols))
+        over = sums > costs_arr
         lam = 1.0
-        for cost_j, rr in zip(costs_arr, rows_per_col):
-            s = float(y[rr].sum())
-            if s > cost_j:
-                if cost_j <= 0.0:
-                    return 0.0, cols, x
-                lam = min(lam, cost_j / s)
-        return lam * float(y.sum()) * (1.0 - 1e-12), cols, x
+        if over.any():
+            if np.any(costs_arr[over] <= 0.0):
+                return 0.0, integral
+            lam = min(lam, float(np.min(costs_arr[over] / sums[over])))
+        return lam * float(y.sum()) * (1.0 - 1e-12), integral
 
-    def visit(rem: int, cost_so_far: float, chosen: list[int]) -> None:
+    def visit(rem: np.ndarray, cost_so_far: float, chosen: list[int]) -> None:
         nonlocal nodes, root_lower
         nodes += 1
         if nodes > node_limit:
             raise _NodeBudget
-        if rem == 0:
+        rows = np.flatnonzero(rem)
+        if not rows.size:
             record(chosen)
             return
-        lb = cheap_bound(rem)
+        lb = sum(cheapest[k] for k in rows.tolist()) / maxcov
         if pruned(cost_so_far + lb):
             return
-        lp_lb, cols, x = lp_bound(rem)
-        if x is not None and np.all(np.abs(x - np.round(x)) <= _INTEGRAL_TOL):
-            picks = [i for i, xj in zip(cols, x) if xj > 0.5]
-            covered = 0
-            for i in picks:
-                covered |= mask_of[i]
-            if rem & ~covered == 0:
-                record(chosen + picks)
+        keep = rem[inc.row_of] & ~banned[inc.row_cols]
+        live = np.bincount(inc.row_of[keep], minlength=m)
+        lp_lb, integral = lp_bound(rem, keep, live)
+        if integral is not None:  # an integral LP solution that covers
+            record(chosen + integral.tolist())
         lb = max(lb, lp_lb)
         if nodes == 1:
             root_lower = cost_so_far + lb
         if pruned(cost_so_far + lb):
             return
-        pick, fewest = -1, None
-        mk = rem
-        while mk:
-            low = mk & -mk
-            k = low.bit_length() - 1
-            alive = sum(1 for i in point_cands[k] if not banned[i])
-            if alive == 0:
-                return  # this branch cannot cover k
-            if fewest is None or alive < fewest:
-                fewest, pick = alive, k
-            mk ^= low
+        alive = live[rows]
+        if not alive.all():
+            return  # this branch cannot cover some point
+        pick = int(rows[np.argmin(alive)])
         tried: list[int] = []
         try:
-            for i in point_cands[pick]:
-                if banned[i]:
+            for p in inc.row_cols[inc.row_ptr[pick] : inc.row_ptr[pick + 1]].tolist():
+                if banned[p]:
                     continue
-                chosen.append(i)
-                visit(rem & ~mask_of[i], cost_so_far + costs[i], chosen)
+                child = rem.copy()
+                child[inc.col_rows[inc.col_ptr[p] : inc.col_ptr[p + 1]]] = False
+                chosen.append(p)
+                visit(child, cost_so_far + cost_of[order[p]], chosen)
                 chosen.pop()
-                banned[i] = True
-                tried.append(i)
+                banned[p] = True
+                tried.append(p)
         finally:
-            for i in tried:
-                banned[i] = False
+            banned[tried] = False
 
     try:
         visit(remaining0, 0.0, [])
     except _NodeBudget:
-        if len(act) <= _EXHAUSTIVE_LIMIT:
-            val, subset = _exhaustive_min_cover(
-                [costs[i] for i in act], [mask_of[i] for i in act], remaining0
-            )
-            chosen = sorted(free + [act[j] for j in subset])
+        if n <= _EXHAUSTIVE_LIMIT:
+            # Scan the columns in candidate order, so the value is the
+            # plain cost sum in that order.
+            ids = np.sort(order)
+            bit = np.zeros(len(costs), dtype=np.int64)
+            bit[ids] = 1 << np.arange(n, dtype=np.int64)
+            point_masks = np.zeros(m, dtype=np.int64)
+            np.bitwise_or.at(point_masks, inc.row_of, bit[order][inc.row_cols])
+            val, subset = _min_cost_subset(costs[ids].tolist(), point_masks[remaining0])
+            picked = [int(i) for j, i in enumerate(ids) if subset >> j & 1]
             return IntegerCoverSolution(
-                chosen=tuple(chosen), value=val, status="optimal", nodes=nodes
+                chosen=tuple(sorted(free + picked)), value=val, status="optimal", nodes=nodes
             )
         raise CandidateLimitExceeded(lower=root_lower, upper=best_val, nodes=nodes) from None
 
@@ -572,25 +580,28 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     return IntegerCoverSolution(chosen=tuple(chosen), value=best_val, status="optimal", nodes=nodes)
 
 
-def _exhaustive_min_cover(costs: Sequence[float], masks: Sequence[int], full: int):
-    """Scan all candidate subsets; only used for at most 20 candidates."""
-    n = len(costs)
-    best_val, best_subset = INF, None
-    for bits in range(1 << n):
-        mk, val, b = 0, 0.0, bits
-        while b:
-            low = b & -b
-            j = low.bit_length() - 1
-            mk |= masks[j]
-            val += costs[j]
-            b ^= low
-            if val >= best_val:
-                break
-        if (mk & full) == full and val < best_val:
-            best_val = val
-            best_subset = bits
-    subset = [j for j in range(n) if best_subset >> j & 1]
-    return best_val, subset
+def _min_cost_subset(costs: Sequence[float], point_masks: np.ndarray) -> tuple[float, int]:
+    """Cheapest subset of at most 20 candidates meeting every point mask.
+
+    Bit ``i`` of ``point_masks[k]`` is set when candidate ``i`` covers
+    point ``k``.  Subset costs are built by doubling, so each is the
+    plain sum in candidate order; infinite costs propagate and never win.
+    Returns the value and the subset as a bit set (the lowest one among
+    ties), or (inf, 0) when no subset covers.
+    """
+    size = 1 << len(costs)
+    total = np.zeros(size)
+    for i, c in enumerate(costs):
+        total[1 << i : 2 << i] = total[: 1 << i] + c
+    subsets = np.arange(size, dtype=np.int64)
+    feasible = np.ones(size, dtype=bool)
+    for mk in np.unique(point_masks):
+        feasible &= (subsets & mk) != 0
+    if not feasible.any():
+        return INF, 0
+    candidates = np.flatnonzero(feasible)
+    best = int(candidates[np.argmin(total[candidates])])
+    return float(total[best]), best
 
 
 # --- independent oracle -------------------------------------------------
@@ -611,31 +622,17 @@ def brute_force_oracle(instance: CoverInstance) -> tuple[float, float]:
         raise SizeLimit(f"oracle limits are 20 candidates / 10 points, got {n}/{m}")
     if m == 0:
         return 0.0, 0.0
-    tindex = {p: k for k, p in enumerate(instance.target)}
+    full = np.zeros((m, n))
+    full[instance.indices, np.repeat(np.arange(n), np.diff(instance.indptr))] = 1.0
 
-    # Integer optimum by subset doubling over all candidates; infinite
-    # costs propagate through the sums and never win the minimum.
-    size = 1 << n
-    cover = np.zeros(size, dtype=np.int64)
-    cost = np.zeros(size)
-    for i in range(n):
-        bit = 1 << i
-        mk = 0
-        for p in instance.covered[i]:
-            mk |= 1 << tindex[p]
-        cover[bit : 2 * bit] = cover[:bit] | mk
-        cost[bit : 2 * bit] = cost[:bit] + instance.costs[i]
-    full = (1 << m) - 1
-    feasible = cover == full
-    int_opt = float(cost[feasible].min()) if feasible.any() else INF
+    # Integer optimum by the subset scan over all candidates.
+    point_masks = (full.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=1)
+    int_opt, _ = _min_cost_subset(instance.costs.tolist(), point_masks)
 
     # Fractional optimum by vertex enumeration on finite-cost columns.
-    cols = [i for i in range(n) if not math.isinf(instance.costs[i])]
-    a = np.zeros((m, len(cols)))
-    for j, i in enumerate(cols):
-        for p in instance.covered[i]:
-            a[tindex[p], j] = 1.0
-    c = np.array([instance.costs[i] for i in cols])
+    cols = np.flatnonzero(np.isfinite(instance.costs))
+    a = full[:, cols]
+    c = instance.costs[cols]
     if a.size == 0 or np.any(a.sum(axis=1) == 0):
         return int_opt, INF
 

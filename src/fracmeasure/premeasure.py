@@ -26,13 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FracmeasureError, InvalidInput
-from .extended import INF, xmul, xpow
+from .extended import INF, xmul, xmul_array, xpow
 from .metric import (
     Ball,
+    BallGrid,
     FiniteMetricSpace,
     PointMeasure,
     ProductSpace,
     Rectangle,
+    RectangleGrid,
     ball_mass,
     ball_members,
 )
@@ -44,6 +46,8 @@ __all__ = [
     "product_premeasure",
     "hxh_premeasure",
     "weight_term",
+    "premeasure_values",
+    "weight_terms",
 ]
 
 
@@ -228,3 +232,51 @@ def weight_term(
         raise InvalidInput(f"q must be finite, got {q!r}")
     m = ball_mass(space, measure, ball)
     return xmul(xpow(m, q), eval_premeasure(xi, space, ball))
+
+
+# --- whole candidate families ----------------------------------------------
+
+
+def _each_value(f, x: np.ndarray) -> np.ndarray:
+    """The scalar function f on every entry of x, called once per distinct value."""
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return np.array([f(v) for v in distinct.tolist()], dtype=float)[inverse]
+
+
+def premeasure_values(xi: Premeasure, grid: BallGrid | RectangleGrid) -> np.ndarray:
+    """:func:`eval_premeasure` on every candidate of a grid.
+
+    Gauges and powers are the scalar functions, applied per distinct
+    argument, so each value is the scalar one up to the summation order
+    of the masses.
+    """
+    if xi.kind == "hausdorff":
+        return _each_value(xi.h, grid.diameter(xi.diam_mode))
+    if xi.kind == "gauge_pair":
+        d = grid.diameter(xi.diam_mode)
+        return xmul_array(_each_value(xi.h, d), _each_value(xi.h_right, d))
+    if xi.kind == "constant_nonempty":
+        return np.full(grid.size, xi.c)
+    if xi.kind == "measure_power":
+        m = grid.mass(xi.mu)
+        powered = np.ones(grid.size) if xi.p == 0.0 else _each_value(lambda v: v**xi.p, m)
+        scale = 0.5 * (xi.a + xi.b)
+        return scale * powered * _each_value(xi.phi, grid.diameter("nominal"))
+    if xi.kind == "product":
+        if not isinstance(grid, RectangleGrid):
+            raise TypeError("product premeasure evaluates on rectangles of a product space")
+        return xmul_array(
+            premeasure_values(xi.left, grid.left)[grid.left_at],
+            premeasure_values(xi.right, grid.right)[grid.right_at],
+        )
+    raise FracmeasureError(f"unknown premeasure kind {xi.kind!r}")
+
+
+def weight_terms(
+    grid: BallGrid | RectangleGrid, measure: PointMeasure, q: float, xi: Premeasure
+) -> np.ndarray:
+    """:func:`weight_term` on every candidate of a grid, in the same arithmetic."""
+    if not -INF < q < INF:
+        raise InvalidInput(f"q must be finite, got {q!r}")
+    powered = _each_value(lambda m: xpow(m, q), grid.mass(measure))
+    return xmul_array(powered, premeasure_values(xi, grid))

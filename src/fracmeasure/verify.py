@@ -3,7 +3,11 @@
 Each suite draws a deterministic corpus from its seed, checks one
 relation between computed quantities on every case, and reports the
 violations verbatim (one line per failed case, both sides included).
-A suite passes exactly when no case violates its relation.
+A suite passes exactly when no case violates its relation.  Every report
+lists the tolerance each relation applied and whether it is the
+configured check tolerance (``check_tol``); suites whose relations use
+only fixed tolerances (``SOLVER_TOL`` or exact comparisons) say that
+they do not apply ``check_tol``.
 
 Suites and their relations:
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +77,7 @@ from .premeasure import (
 )
 
 __all__ = [
+    "AppliedTolerance",
     "SuiteReport",
     "SUITE_NAMES",
     "run_suite",
@@ -85,15 +91,36 @@ _Q_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
 _LOG23 = math.log(2.0) / math.log(3.0)
 
 
+class AppliedTolerance(NamedTuple):
+    """The tolerance one relation of a suite applied (0.0: exact comparison)."""
+
+    relation: str
+    tol: float
+    configured: bool  # True when it is the configured check tolerance
+
+
 @dataclass
 class SuiteReport:
     name: str
     cases: int
     violations: list[str] = field(default_factory=list)
+    tolerances: list[AppliedTolerance] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    @property
+    def applies_check_tol(self) -> bool:
+        return any(t.configured for t in self.tolerances)
+
+
+def _fixed(relation: str, tol: float = SOLVER_TOL) -> AppliedTolerance:
+    return AppliedTolerance(relation=relation, tol=tol, configured=False)
+
+
+def _configured(relation: str, tol: float) -> AppliedTolerance:
+    return AppliedTolerance(relation=relation, tol=tol, configured=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +312,14 @@ def _le(a: float, b: float, tol: float) -> bool:
 
 
 def suite_wh_order(count: int = 500, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
-    report = SuiteReport(name="wh-order", cases=0)
+    report = SuiteReport(
+        name="wh-order",
+        cases=0,
+        tolerances=[
+            _fixed("W <= H + tol"),
+            _fixed("gap witness: |W - 5/3| <= tol and |H - 2| <= tol"),
+        ],
+    )
     for case in build_mixed_corpus(seed, count, full_support=False):
         report.cases += 1
         w = weighted_premeasure(
@@ -331,7 +365,14 @@ def _two_cluster_case(rng: np.random.Generator, i: int):
 
 
 def suite_subadd(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
-    report = SuiteReport(name="subadd", cases=0)
+    report = SuiteReport(
+        name="subadd",
+        cases=0,
+        tolerances=[
+            _fixed("W(E u F) <= W(E) + W(F) + tol"),
+            _fixed("separated parts: |W(E u F) - W(E) - W(F)| <= tol"),
+        ],
+    )
     rng = np.random.default_rng(seed)
     for i in range(count):
         separated = i % 2 == 0
@@ -371,7 +412,11 @@ def suite_subadd(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) 
 
 
 def suite_product_w(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
-    report = SuiteReport(name="product-w", cases=0)
+    report = SuiteReport(
+        name="product-w",
+        cases=0,
+        tolerances=[_configured("|W(ExF) - W(E)W(F)| <= tol * max(1, |W(E)W(F)|)", check_tol)],
+    )
     for case in build_product_corpus(seed, count):
         report.cases += 1
         prod = product_space(case.left, case.right)
@@ -395,7 +440,14 @@ def suite_product_w(count: int = 100, seed: int = 0, check_tol: float = CHECK_TO
 
 
 def suite_sandwich(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
-    report = SuiteReport(name="sandwich", cases=0)
+    report = SuiteReport(
+        name="sandwich",
+        cases=0,
+        tolerances=[
+            _configured("W(E)H(F) <= H(ExF) + tol", check_tol),
+            _configured("H(ExF) <= H(E)H(F) + tol", check_tol),
+        ],
+    )
     for case in build_product_corpus(seed, count):
         report.cases += 1
         prod = product_space(case.left, case.right)
@@ -434,7 +486,11 @@ def suite_zero_infinite(count: int = 20, seed: int = 0, check_tol: float = CHECK
     factor carries the null premeasure, so its value is zero; on the
     product, every rectangle cost vanishes by the 0 * inf convention.
     """
-    report = SuiteReport(name="zero-infinite", cases=0)
+    report = SuiteReport(
+        name="zero-infinite",
+        cases=0,
+        tolerances=[_fixed("H(E) = W(E) = inf, H(F) = 0, H(ExF) = W(ExF) = 0 (exact)", 0.0)],
+    )
     rng = np.random.default_rng(seed)
     for i in range(count):
         k = int(rng.integers(2, 5))
@@ -487,7 +543,9 @@ def suite_zero_infinite(count: int = 20, seed: int = 0, check_tol: float = CHECK
 
 
 def suite_noncentered(count: int = 200, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
-    report = SuiteReport(name="noncentered", cases=0)
+    report = SuiteReport(
+        name="noncentered", cases=0, tolerances=[_fixed("Wtilde <= W + tol")]
+    )
     for case in build_mixed_corpus(seed, count, full_support=False):
         report.cases += 1
         w = weighted_premeasure(
@@ -507,7 +565,9 @@ def suite_hxh(count: int = 50, seed: int = 0, check_tol: float = CHECK_TOL) -> S
         HausdorffFunction.power_law(0.5),
         HausdorffFunction.power_law(_LOG23),
     )
-    report = SuiteReport(name="hxh", cases=0)
+    report = SuiteReport(
+        name="hxh", cases=0, tolerances=[_fixed("W(product gauge) <= W(joint gauge) + tol")]
+    )
     rng = np.random.default_rng(seed)
     for case in build_product_corpus(seed + 1, count):
         report.cases += 1
@@ -532,7 +592,9 @@ def suite_hxh(count: int = 50, seed: int = 0, check_tol: float = CHECK_TOL) -> S
 
 def suite_density(count: int = 500, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
     """nu(E) <= s * H(E) with nu = mu, skipping targets outside the support."""
-    report = SuiteReport(name="density", cases=0)
+    report = SuiteReport(
+        name="density", cases=0, tolerances=[_fixed("nu(E) <= s * H(E) + tol")]
+    )
     for case in build_mixed_corpus(seed, count, full_support=False):
         supp = case.measure.support
         target = tuple(p for p in case.target if p in supp)
@@ -562,7 +624,9 @@ def _random_ball_family(rng: np.random.Generator, space: FiniteMetricSpace):
 
 
 def suite_vitali(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
-    report = SuiteReport(name="vitali", cases=0)
+    report = SuiteReport(
+        name="vitali", cases=0, tolerances=[_fixed("5r packing checks (exact)", 0.0)]
+    )
     rng = np.random.default_rng(seed)
     for i in range(count):
         space, _ = _draw_space(rng)
@@ -579,7 +643,11 @@ def suite_vitali(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) 
 
 
 def suite_besicovitch(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
-    report = SuiteReport(name="besicovitch", cases=0)
+    report = SuiteReport(
+        name="besicovitch",
+        cases=0,
+        tolerances=[_fixed("bounded-overlap family checks (exact)", 0.0)],
+    )
     rng = np.random.default_rng(seed)
     for i in range(count):
         d = int(rng.integers(1, 3))
@@ -634,7 +702,9 @@ def _doubling_corpus(seed: int, count: int) -> list[SingleCase]:
 
 def suite_lemma_8c(count: int = 40, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
     """H <= 8 * C3 * W with C3 the worst 3r dilation cost ratio per instance."""
-    report = SuiteReport(name="lemma-8c", cases=0)
+    report = SuiteReport(
+        name="lemma-8c", cases=0, tolerances=[_fixed("H <= 8 * C3 * W + tol")]
+    )
     for case in _doubling_corpus(seed, count):
         report.cases += 1
         c3 = 0.0
@@ -666,7 +736,14 @@ def suite_example_zero(count: int = 0, seed: int = 0, check_tol: float = CHECK_T
     nonincreasing as delta grows and the bound forces them toward zero
     across the grid.
     """
-    report = SuiteReport(name="example-zero", cases=0)
+    report = SuiteReport(
+        name="example-zero",
+        cases=0,
+        tolerances=[
+            _configured("H <= chain bound + tol * max(1, bound)", check_tol),
+            _fixed("H does not fall as delta shrinks, less tol"),
+        ],
+    )
     space, mu = cantor_net(8, 1.0 / 3.0, 0.5)
     phi = HausdorffFunction.linear()
     xi = Premeasure.measure_power(mu, 1.0, phi, 1.0, 1.0)

@@ -104,6 +104,21 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "--suites", "wh-order", "--count", "3", "--seed", "1"]) == 0
     captured = capsys.readouterr()
     assert "wh-order: PASS" in captured.out
+    assert "tolerance 1e-09 (fixed): W <= H + tol" in captured.out
+    assert "the check tolerance 1e-07 is not applied by this suite" in captured.out
+
+
+def test_verify_prints_the_configured_tolerance(tmp_path, capsys):
+    out_file = tmp_path / "verify.json"
+    argv = ["verify", "--suites", "product-w", "--count", "2", "--tolerance", "2e-08",
+            "--out", str(out_file)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "tolerance 2e-08 (check tolerance)" in out
+    assert "is not applied" not in out
+    (report,) = json.loads(out_file.read_text())
+    assert report["applies_check_tol"] is True
+    assert [t["tol"] for t in report["tolerances"]] == [2e-08]
 
 
 def test_verify_unknown_suite(capsys):

@@ -177,13 +177,16 @@ def test_node_budget_reports_bounds():
 def test_oracle_size_limit(five_cycle, unit_constant):
     space, measure = five_cycle
     inst = build_cover_instance(space, measure, 0.0, unit_constant, space.point_ids, 1.0)
+    sizes = np.tile(np.diff(inst.indptr), 3)
     big = inst.__class__(
         space=inst.space,
         target=inst.target,
         candidates=inst.candidates * 3,
-        costs=inst.costs * 3,
-        covered=inst.covered * 3,
+        indptr=np.concatenate([[0], np.cumsum(sizes)]),
+        indices=np.tile(inst.indices, 3),
+        costs=np.tile(inst.costs, 3),
     )
+    assert big.covered == inst.covered * 3
     with pytest.raises(SizeLimit):
         brute_force_oracle(big)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fracmeasure import SUITE_NAMES, run_suite
+from fracmeasure import SOLVER_TOL, SUITE_NAMES, run_suite
 from fracmeasure.errors import SuiteUnknown
 
 
@@ -41,3 +41,28 @@ def test_suite_reports_are_deterministic():
     b = run_suite("wh-order", count=5, seed=3)
     assert a.cases == b.cases
     assert a.violations == b.violations
+
+
+_FIXED_TOLERANCE_SUITES = {
+    "wh-order",
+    "subadd",
+    "zero-infinite",
+    "noncentered",
+    "hxh",
+    "density",
+    "vitali",
+    "besicovitch",
+    "lemma-8c",
+}
+
+
+@pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "example-zero"])
+def test_reports_state_the_tolerance_each_relation_applied(name):
+    report = run_suite(name, count=2, seed=5, check_tol=3e-8)
+    assert report.tolerances
+    assert report.applies_check_tol == (name not in _FIXED_TOLERANCE_SUITES)
+    for tol in report.tolerances:
+        if tol.configured:
+            assert tol.tol == 3e-8
+        else:
+            assert tol.tol in (SOLVER_TOL, 0.0)
