@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyGrid, InvalidInput, ZeroDenominator
-from .extended import INF, SOLVER_TOL, xdiv
-from .metric import Ball, FiniteMetricSpace, PointMeasure, ball_mass, enumerate_centered_balls
-from .premeasure import Premeasure, eval_premeasure, weight_term
+from .extended import INF, SOLVER_TOL, xdiv, xdiv_array
+from .metric import Ball, FiniteMetricSpace, PointMeasure, ball_grid, ball_mass
+from .premeasure import Premeasure, eval_premeasure, weight_term, weight_terms
 from .optimizer import hausdorff_premeasure
 
 __all__ = [
@@ -129,11 +129,12 @@ def density_upper_bound_check(
     """Check nu(E) <= s * H_delta(E) with s the candidate density supremum.
 
     s is the max of nu(B) / weight_term(B) over the candidate family of
-    the target.  For any cover of E, nu(E) <= sum nu(B_i) <= s * sum of
-    the cover costs, so the bound holds at fixed scale on every valid
-    instance.  When s is infinite the per-ball estimate nu(B) <= s * cost
-    degenerates to nu(B) <= inf, so the reported bound is infinite (the
-    0 * inf = 0 cost convention does not apply to this comparison).
+    the target, priced as one grid.  For any cover of E,
+    nu(E) <= sum nu(B_i) <= s * sum of the cover costs, so the bound
+    holds at fixed scale on every valid instance.  When s is infinite
+    the per-ball estimate nu(B) <= s * cost degenerates to
+    nu(B) <= inf, so the reported bound is infinite (the 0 * inf = 0
+    cost convention does not apply to this comparison).
     """
     tgt = tuple(target)
     nu_total = float(sum(nu.mass_of(p) for p in tgt))
@@ -141,11 +142,8 @@ def density_upper_bound_check(
         return DensityBoundReport(
             nu_total=0.0, density_sup=0.0, h_value=0.0, bound=0.0, ok=True, slack=0.0
         )
-    s = 0.0
-    for b in enumerate_centered_balls(space, tgt, delta):
-        num = ball_mass(space, nu, b)
-        den = weight_term(space, measure, q, xi, b)
-        s = max(s, xdiv(num, den))
+    grid = ball_grid(space, tgt, delta)
+    s = float(xdiv_array(grid.mass(nu), weight_terms(grid, measure, q, xi)).max())
     h = hausdorff_premeasure(space, measure, q, xi, tgt, delta)
     if s == INF or h.value == INF:
         bound = INF

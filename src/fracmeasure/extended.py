@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["INF", "xmul", "xmul_array", "xpow", "xdiv"]
+__all__ = ["INF", "xmul", "xmul_array", "xpow", "xdiv", "xdiv_array"]
 
 INF = math.inf
 
@@ -52,6 +52,14 @@ def xdiv(num: float, den: float) -> float:
     if math.isinf(den):
         return INF if math.isinf(num) else 0.0
     return num / den
+
+
+def xdiv_array(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`xdiv`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    out = np.where(np.isinf(den), np.where(np.isinf(num), INF, 0.0), out)
+    return np.where(den == 0.0, np.where(num > 0.0, INF, 0.0), out)
 
 
 # Tolerances, stated once and reused everywhere.

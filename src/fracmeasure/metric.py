@@ -306,8 +306,31 @@ def ball_mass(
     measure: PointMeasure,
     ball: Ball | Rectangle,
 ) -> float:
-    """Total mass of the members of a ball or rectangle."""
-    return float(sum(measure.mass_of(p) for p in ball_members(space, ball)))
+    """Total mass of the members of a ball or rectangle, in a fixed order.
+
+    A ball's members are added one by one by distance from the center,
+    ties by point index, as :meth:`BallGrid.mass` adds them, so the two
+    agree bit for bit; a rectangle's member pairs are added in the
+    ``(a, b)`` row-major order of the product, which need not match
+    :meth:`RectangleGrid.mass` (a matrix product) in the last bits.
+    """
+    if isinstance(ball, Rectangle):
+        if not isinstance(space, ProductSpace):
+            raise TypeError("rectangle members need a product space")
+        left, right = (
+            _member_indices(f, f.index_of(b.center), b.radius).tolist()
+            for f, b in ((space.left, ball.left), (space.right, ball.right))
+        )
+        lids, rids = space.left.point_ids, space.right.point_ids
+        masses = [measure.mass_of((lids[a], rids[b])) for a in left for b in right]
+    else:
+        if isinstance(space, ProductSpace):
+            space = space.space
+        idx = space.index_of(ball.center)
+        members = _member_indices(space, idx, ball.radius)
+        members = members[np.argsort(space.dist[idx, members], kind="stable")]
+        masses = [measure.mass_of(space.point_ids[i]) for i in members.tolist()]
+    return float(np.cumsum(masses)[-1]) if masses else 0.0
 
 
 def dilate(ball: Ball | Rectangle, factor: float) -> Ball | Rectangle:

@@ -20,6 +20,15 @@ candidates on the target and a cost array, built from one stable
 argsort per center row (``metric.ball_grid``), or, on products, from
 the Kronecker product of the factor incidences.
 
+Every covering LP (the fractional optimum and each node bound of the
+integer search) goes through ``_covering_lp``, one direct call into
+scipy's bundled HiGHS bindings with the options linprog passes, so each
+result equals linprog's bit for bit.  HiGHS reporting the LP optimal
+gives the solution, infeasible gives None, and any other status, or a
+HiGHS error, raises NumericalFailure.  On a scipy without those
+(private) bindings the same LP goes through linprog; ``LP_BACKEND``
+names the route chosen at import, and ``linprog`` is bound to it.
+
 The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
 cost covering each, divided by the maximum coverage of any single
@@ -54,8 +63,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import (
     CandidateLimitExceeded,
@@ -291,17 +298,98 @@ def _incidence(instance: CoverInstance, cols: np.ndarray) -> _Incidence:
 
 # --- shared LP core -----------------------------------------------------
 
+# scipy's bundled HiGHS bindings are private API, so they are checked
+# once, here.  The options are the ones linprog(method="highs") passes
+# for this LP, so both routes hand HiGHS the same problem.
+try:
+    from scipy.optimize._highspy import _core as _highs
+
+    _HIGHS_OPTIONS = _highs.HighsOptions()
+    _HIGHS_OPTIONS.presolve = "on"
+    _HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
+    _HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
+    _HIGHS_OPTIONS.simplex_strategy = int(
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    )
+    _HIGHS_OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+    _HIGHS_OPTIONS.output_flag = False
+    _HIGHS_OPTIONS.log_to_console = False
+    _HIGHS_INF = _highs.kHighsInf
+    _HIGHS_ERROR = _highs.HighsStatus.kError
+    _OPTIMAL = _highs.HighsModelStatus.kOptimal
+    _INFEASIBLE = _highs.HighsModelStatus.kInfeasible
+    _COLWISE = int(_highs.MatrixFormat.kColwise)
+    _MINIMIZE = int(_highs.ObjSense.kMinimize)
+except (ImportError, AttributeError):
+    _highs = None
+
 
 def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
     """Solve min c.x, x >= 0, with the x of each row's columns summing to >= 1.
 
     The 0/1 constraint matrix is given by rows: row ``k`` holds the
     columns ``row_cols[row_ptr[k]:row_ptr[k + 1]]``, ascending.  Returns
-    (value, x, y) with y the dual potentials of the row constraints, or
-    None when the LP is infeasible.
+    (value, x, y) with y the dual potentials of the row constraints when
+    HiGHS reports the LP optimal, and None when it reports it
+    infeasible.  Any other model status, or an error from HiGHS, raises
+    NumericalFailure naming the status.  The solve goes through
+    ``linprog``, the route chosen at import (see ``LP_BACKEND``).
     """
+    return linprog(costs, row_ptr, row_cols)
+
+
+def _highs_covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
+    """:func:`_covering_lp` straight through scipy's bundled HiGHS bindings.
+
+    HiGHS gets the LP as ``-A x <= -1`` with ``A`` by columns, rows
+    ascending in each, as linprog hands it over, and a fresh model per
+    call, so every solve starts cold and the result is the one linprog
+    gives, bit for bit.
+    """
+    m, n, nnz = len(row_ptr) - 1, len(costs), len(row_cols)
+    # A stable sort by column keeps each column's rows ascending.
+    rows = np.repeat(np.arange(m, dtype=np.int32), np.diff(row_ptr))
+    rows = rows[np.argsort(row_cols, kind="stable")]
+    col_ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row_cols, minlength=n), out=col_ptr[1:])
+    model = _highs._Highs()
+    if (
+        model.passOptions(_HIGHS_OPTIONS) == _HIGHS_ERROR
+        # The array form of passModel needs an integrality vector; all
+        # zeros (continuous) keeps the model a plain LP.
+        or model.passModel(
+            n, m, nnz, _COLWISE, _MINIMIZE, 0.0,
+            costs, np.zeros(n), np.full(n, _HIGHS_INF),
+            np.full(m, -_HIGHS_INF), np.full(m, -1.0),
+            col_ptr, rows, np.full(nnz, -1.0), np.zeros(n, dtype=np.int32),
+        ) == _HIGHS_ERROR
+        or model.run() == _HIGHS_ERROR
+    ):
+        raise NumericalFailure(
+            float("nan"), float("nan"), f"HiGHS error, model status {model.getModelStatus().name}"
+        )
+    status = model.getModelStatus()
+    if status == _INFEASIBLE:
+        return None
+    if status != _OPTIMAL:
+        raise NumericalFailure(float("nan"), float("nan"), f"LP model status {status.name}")
+    solution = model.getSolution()
+    x = np.clip(np.asarray(solution.col_value), 0.0, None)
+    y = np.clip(-np.asarray(solution.row_dual), 0.0, None)
+    return float(costs @ x), x, y
+
+
+def _linprog_covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
+    """:func:`_covering_lp` through ``scipy.optimize.linprog``.
+
+    Used only where the direct route is unavailable; linprog's status 2
+    (infeasible) gives None, any other non-zero status raises.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog as scipy_linprog
+
     m = len(row_ptr) - 1
-    res = linprog(
+    res = scipy_linprog(
         c=costs,
         A_ub=sparse.csr_matrix(
             (np.full(len(row_cols), -1.0), row_cols, row_ptr), shape=(m, len(costs))
@@ -322,6 +410,36 @@ def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
     x = np.clip(res.x, 0.0, None)
     y = np.clip(-np.asarray(res.ineqlin.marginals), 0.0, None)
     return float(costs @ x), x, y
+
+
+def _highs_route_works() -> bool:
+    """Whether the direct route solves a one-row, one-column probe LP exactly.
+
+    The array form of passModel is private API too, so a scipy that
+    rejects it, fails the solve, or returns anything but the known
+    answer (value 1, x = y = [1]) falls back to linprog.
+    """
+    if _highs is None:
+        return False
+    try:
+        got = _highs_covering_lp(np.ones(1), np.array([0, 1]), np.zeros(1, dtype=np.intp))
+    except (TypeError, NumericalFailure):
+        return False
+    return (
+        got is not None
+        and got[0] == 1.0
+        and np.array_equal(got[1], [1.0])
+        and np.array_equal(got[2], [1.0])
+    )
+
+
+# Which route every covering LP takes, chosen once at import from what is
+# installed: "highs" (direct) or "linprog" (fallback).
+LP_BACKEND = "highs" if _highs_route_works() else "linprog"
+# The chosen route is bound to ``linprog``, the name every covering LP was
+# solved under before the direct route; perfbench/tracer.py times the LPs
+# by wrapping ``optimizer.linprog``.
+linprog = _highs_covering_lp if LP_BACKEND == "highs" else _linprog_covering_lp
 
 
 # --- fractional solver --------------------------------------------------

@@ -7,14 +7,20 @@ from fracmeasure import (
     HausdorffFunction,
     INF,
     Premeasure,
+    ball_mass,
     blanketing_ratio,
     cantor_net,
     density_upper_bound_check,
+    enumerate_centered_balls,
     point_measure,
     premeasure_doubling,
+    random_cloud,
+    uniform_measure,
     upper_density_profile,
     validate_space,
+    weight_term,
 )
+from fracmeasure.extended import xdiv
 from fracmeasure.errors import EmptyGrid, ZeroDenominator
 
 
@@ -108,3 +114,55 @@ def test_density_profile_needs_support(two_points, linear_gauge):
         upper_density_profile(
             space, measure, 1.0, linear_gauge, measure, "b", [0.1]
         )
+
+
+def _density_sup_by_candidate(space, measure, q, xi, nu, target, delta):
+    """The density supremum as it was computed before: one candidate at a time."""
+    s = 0.0
+    for b in enumerate_centered_balls(space, target, delta):
+        num = ball_mass(space, nu, b)
+        den = weight_term(space, measure, q, xi, b)
+        s = max(s, xdiv(num, den))
+    return s
+
+
+def _density_cases():
+    linear = Premeasure.from_gauge(HausdorffFunction.linear())
+    power = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))
+    realized = Premeasure.from_gauge(HausdorffFunction.linear(), diam_mode="realized")
+    for seed in (1, 2):
+        space = random_cloud(16, 2, seed)
+        rng = np.random.default_rng(seed)
+        masses = rng.random(space.n)
+        masses[0] = 0.0
+        measure = point_measure(space, dict(zip(space.point_ids, masses / masses.sum())))
+        nu = uniform_measure(space)
+        for q in (-1.0, 0.0, 1.0, 2.0):
+            yield f"cloud{seed}", space, measure, q, power, nu, space.point_ids, 0.5
+            # realized diameters: every singleton candidate costs 0
+            yield f"cloud{seed}-realized", space, measure, q, realized, nu, space.point_ids, 0.3
+    # nu lives off the target: the zero-cost singletons give 0 / 0 = 0
+    space = random_cloud(12, 2, 5)
+    nu = point_measure(
+        space, {p: (1.0 / 6.0 if k % 2 else 0.0) for k, p in enumerate(space.point_ids)}
+    )
+    even = space.point_ids[::2]
+    for q in (-1.0, 1.0):
+        yield "cloud5-nu-off-target", space, uniform_measure(space), q, realized, nu, even, 0.5
+    space, measure = cantor_net(4)
+    for q in (-1.0, 0.0, 1.0, 2.0):
+        ids = space.point_ids
+        yield "cantor4", space, measure, q, power, measure, ids, 0.2
+        yield "cantor4-realized", space, measure, q, realized, uniform_measure(space), ids, 0.2
+        yield "cantor4-linear", space, measure, q, linear, measure, ids, 0.5
+
+
+def test_density_sup_equals_the_per_candidate_loop():
+    seen_inf = seen_finite = 0
+    for name, space, measure, q, xi, nu, target, delta in _density_cases():
+        report = density_upper_bound_check(space, measure, q, xi, nu, target, delta)
+        expected = _density_sup_by_candidate(space, measure, q, xi, nu, target, delta)
+        assert report.density_sup == expected, (name, q)
+        seen_inf += math.isinf(expected)
+        seen_finite += math.isfinite(expected)
+    assert seen_inf and seen_finite

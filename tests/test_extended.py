@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fracmeasure import INF, xdiv, xmul, xpow
+from fracmeasure.extended import xdiv_array
 
 
 def test_xmul_zero_absorbs_infinity():
@@ -44,6 +46,13 @@ def test_xdiv_infinite_denominator():
 
 def test_xdiv_ordinary():
     assert xdiv(6.0, 3.0) == 2.0
+
+
+def test_xdiv_array_is_xdiv_elementwise():
+    values = [0.0, 1e-9, 0.3, 1.0, 7.5, 1e9, INF]
+    num, den = (a.ravel() for a in np.meshgrid(values, values))
+    expected = [xdiv(a, b) for a, b in zip(num.tolist(), den.tolist())]
+    assert xdiv_array(num, den).tolist() == expected
 
 
 @given(st.floats(min_value=1e-9, max_value=1e9))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from fracmeasure import (
     point_measure,
     product_measure,
     product_space,
+    random_cloud,
     uniform_measure,
     validate_space,
 )
@@ -31,6 +35,7 @@ from fracmeasure.errors import (
     TriangleViolation,
     UnknownCenter,
 )
+from fracmeasure.metric import ball_grid
 
 
 def test_validate_accepts_matrix(two_points):
@@ -145,6 +150,61 @@ def test_ball_members_and_mass(line3):
     assert ball_members(space, Ball("0", 0.4)) == frozenset({"0", "1"})
     assert ball_members(space, Ball("1", 0.4)) == frozenset({"0", "1", "2"})
     assert ball_mass(space, measure, Ball("1", 0.4)) == pytest.approx(1.0)
+
+
+def _cloud_with_random_masses():
+    space = random_cloud(30, 2, 7)
+    masses = np.random.default_rng(7).random(space.n)
+    return space, point_measure(space, dict(zip(space.point_ids, masses / masses.sum())))
+
+
+def test_ball_mass_equals_the_grid_mass_bit_for_bit():
+    space, measure = _cloud_with_random_masses()
+    grid = ball_grid(space, space.point_ids, 0.5)
+    masses = grid.mass(measure)
+    assert grid.size > 300
+    for ball, m in zip(grid.balls(), masses.tolist()):
+        assert ball_mass(space, measure, ball) == m
+
+
+def test_rectangle_mass_sums_in_row_major_order():
+    space, measure = _cloud_with_random_masses()
+    left = validate_space(dist=space.dist[:6, :6], epsilon_net=space.epsilon_net)
+    right = validate_space(dist=space.dist[6:11, 6:11], epsilon_net=space.epsilon_net)
+    prod = product_space(left, right)
+    rng = np.random.default_rng(3)
+    masses = rng.random(prod.space.n)
+    pair = point_measure(prod.space, dict(zip(prod.space.point_ids, masses / masses.sum())))
+    rect = Rectangle(Ball("0", 0.3), Ball("2", 0.3))
+    total = 0.0
+    for a in left.point_ids:
+        for b in right.point_ids:
+            if (a, b) in ball_members(prod, rect):
+                total += pair.mass_of((a, b))
+    assert ball_mass(prod, pair, rect) == total
+
+
+def test_ball_mass_does_not_depend_on_the_hash_seed():
+    code = (
+        "import numpy as np\n"
+        "from fracmeasure import ball_mass, point_measure, random_cloud\n"
+        "from fracmeasure.metric import ball_grid\n"
+        "space = random_cloud(30, 2, 7)\n"
+        "m = np.random.default_rng(7).random(space.n)\n"
+        "mu = point_measure(space, dict(zip(space.point_ids, m / m.sum())))\n"
+        "print([ball_mass(space, mu, b) for b in ball_grid(space, space.point_ids, 0.5).balls()])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_dilate():

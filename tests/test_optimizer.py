@@ -9,6 +9,7 @@ from fracmeasure import (
     HausdorffFunction,
     INF,
     InvalidInput,
+    NumericalFailure,
     Premeasure,
     SOLVER_TOL,
     SizeLimit,
@@ -32,6 +33,7 @@ from fracmeasure import (
     validate_space,
     weighted_premeasure,
 )
+from fracmeasure import optimizer
 
 
 def test_two_point_frozen_values(two_points, linear_gauge):
@@ -295,3 +297,181 @@ def test_nonfinite_q_is_rejected(two_points, linear_gauge, solve, q):
     space, measure = two_points
     with pytest.raises(InvalidInput):
         solve(space, measure, q, linear_gauge, space.point_ids, 0.6)
+
+
+# --- the LP adapter ---------------------------------------------------------
+#
+# _covering_lp hands the covering LP straight to scipy's bundled HiGHS
+# bindings, or to linprog where scipy lacks them.  Both routes must give
+# what linprog gives, bit for bit.
+
+
+def _linprog_reference(costs, row_ptr, row_cols):
+    """The covering LP as the solvers posed it to linprog before the direct adapter."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    m = len(row_ptr) - 1
+    res = linprog(
+        c=costs,
+        A_ub=sparse.csr_matrix(
+            (np.full(len(row_cols), -1.0), row_cols, row_ptr), shape=(m, len(costs))
+        ),
+        b_ub=-np.ones(m),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "presolve": True,
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0
+    x = np.clip(res.x, 0.0, None)
+    y = np.clip(-np.asarray(res.ineqlin.marginals), 0.0, None)
+    return float(costs @ x), x, y
+
+
+def _seeded_instances():
+    power = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))
+    for seed in (3, 8):
+        space = random_cloud(14, 2, seed)
+        for q in (-1.0, 0.0, 1.0):
+            yield build_cover_instance(
+                space, uniform_measure(space), q, power, space.point_ids, 0.5
+            )
+        yield build_cover_instance(
+            space, uniform_measure(space), 0.0, power, space.point_ids, 0.5,
+            centers=space.point_ids[::2],
+        )
+    space, measure = cantor_net(5)
+    for q in (0.0, 2.0):
+        yield build_cover_instance(space, measure, q, power, space.point_ids, 0.2)
+    left, right = random_cloud(4, 1, 5), random_cloud(3, 1, 6)
+    prod = product_space(left, right)
+    pair = product_measure(uniform_measure(left), uniform_measure(right))
+    xi = product_premeasure(power, power)
+    yield build_product_cover_instance(
+        prod, pair, 0.5, xi, left.point_ids, right.point_ids, 0.6
+    )
+
+
+@pytest.fixture(scope="module")
+def recorded_lps():
+    """Every covering LP that seeded H and W solves pose, in call order."""
+    lps = []
+    solve = optimizer._covering_lp
+
+    def record(*lp):
+        lps.append(tuple(a.copy() for a in lp))
+        return solve(*lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_covering_lp", record)
+        for inst in _seeded_instances():
+            solve_integer(inst)
+            solve_fractional(inst)
+    return lps
+
+
+@pytest.fixture(params=["direct", "linprog"])
+def lp_route(request, monkeypatch):
+    if request.param == "linprog":  # as on a scipy without the bindings
+        monkeypatch.setattr(optimizer, "linprog", optimizer._linprog_covering_lp)
+    return request.param
+
+
+def test_adapter_equals_linprog_bit_for_bit(lp_route, recorded_lps):
+    assert len(recorded_lps) > 40
+    for lp in recorded_lps:
+        got, want = optimizer._covering_lp(*lp), _linprog_reference(*lp)
+        assert want is not None
+        value, x, y = got
+        assert value == want[0]
+        assert np.array_equal(x, want[1]) and np.array_equal(y, want[2])
+
+
+def test_adapter_reports_an_empty_row_infeasible(lp_route):
+    # row 1 has no column, so nothing can cover it
+    assert optimizer._covering_lp(np.ones(2), np.array([0, 2, 2]), np.array([0, 1])) is None
+
+
+def test_adapter_raises_on_an_unbounded_lp(lp_route):
+    with pytest.raises(NumericalFailure):
+        optimizer._covering_lp(np.array([-1.0, 1.0]), np.array([0, 2]), np.array([0, 1]))
+
+
+def test_every_covering_lp_goes_through_the_linprog_name(monkeypatch):
+    # Wrapping ``optimizer.linprog`` sees each LP the solvers pose.
+    seen = []
+    route = optimizer.linprog
+
+    def spy(*lp):
+        seen.append(lp)
+        return route(*lp)
+
+    monkeypatch.setattr(optimizer, "linprog", spy)
+    calls = []
+    lp = optimizer._covering_lp
+
+    def record(*args):
+        calls.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(optimizer, "_covering_lp", record)
+    space, measure = cantor_net(4)
+    power = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))
+    inst = build_cover_instance(space, measure, 1.0, power, space.point_ids, 0.2)
+    solve_integer(inst)
+    solve_fractional(inst)
+    assert len(calls) >= 2 and len(seen) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        TypeError("array form of passModel not accepted"),
+        NumericalFailure(float("nan"), float("nan"), "LP model status kError"),
+        None,
+        (1.0, np.array([0.5]), np.array([1.0])),
+        (1.0, np.array([1.0]), np.array([0.0])),
+    ],
+)
+def test_the_probe_rejects_a_failing_or_wrong_direct_route(monkeypatch, outcome):
+    def direct(*lp):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(optimizer, "_highs_covering_lp", direct)
+    assert not optimizer._highs_route_works()
+
+
+def test_the_probe_accepts_the_installed_bindings():
+    if optimizer._highs is None:
+        pytest.skip("scipy without the HiGHS bindings")
+    assert optimizer._highs_route_works()
+    assert optimizer.LP_BACKEND == "highs" and optimizer.linprog is optimizer._highs_covering_lp
+
+
+def test_adapter_passes_the_options_linprog_passes(monkeypatch):
+    if optimizer.LP_BACKEND != "highs":
+        pytest.skip("scipy without the HiGHS bindings")
+    core = optimizer._highs
+    seen = []
+
+    class Spy(core._Highs):
+        def run(self):
+            seen.append(self.getOptions())
+            return super().run()
+
+    monkeypatch.setattr(core, "_Highs", Spy)  # the class linprog's wrapper and the adapter make
+    lp = (np.ones(2), np.array([0, 2]), np.array([0, 1]))
+    _linprog_reference(*lp)
+    optimizer._covering_lp(*lp)
+    via_linprog, direct = seen
+    names = [n for n in dir(direct) if not n.startswith("_")]
+    assert len(names) > 50
+    assert {n: getattr(direct, n) for n in names} == {n: getattr(via_linprog, n) for n in names}
