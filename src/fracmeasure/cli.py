@@ -213,6 +213,20 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _number(kind, value, what: str):
+    """``kind(value)`` for a config entry; a malformed value is a ConfigParseError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigParseError(f"config {what} must be a number, got {value!r}") from exc
+
+
+def _numbers(values, what: str) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigParseError(f"config {what} must be a list of numbers, got {values!r}")
+    return [_number(float, v, what) for v in values]
+
+
 def _sweep_task(task):
     instance_path, premeasure_doc, q, delta = task
     return _compute_rows(instance_path, premeasure_doc, q, delta, ("H", "W", "Wtilde"))
@@ -225,11 +239,10 @@ def _cmd_sweep(args) -> int:
         premeasure_doc = config["premeasure"]
     except KeyError as exc:
         raise ConfigParseError(f"config missing key {exc}") from exc
-    q_grid = [float(q) for q in config.get("q_grid", _DEFAULT_Q_GRID)]
-    delta_grid = config.get("delta_grid")
-    if delta_grid is None:
+    q_grid = _numbers(config.get("q_grid", _DEFAULT_Q_GRID), "q_grid")
+    if "delta_grid" not in config:
         raise ConfigParseError("config must list a delta_grid")
-    delta_grid = [float(d) for d in delta_grid]
+    delta_grid = _numbers(config["delta_grid"], "delta_grid")
     tasks = [
         (path, premeasure_doc, q, delta)
         for path in instances
@@ -251,11 +264,16 @@ def _cmd_verify(args) -> int:
     if args.config:
         config = _load_config(args.config)
         names = config.get("suites", list(SUITE_NAMES))
-        seed = int(config.get("seed", args.seed))
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ConfigParseError(f"config suites must be a list of names, got {names!r}")
+        seed = _number(int, config.get("seed", args.seed), "seed")
         counts = config.get("counts", {})
-        check_tol = float(
-            config.get("tolerances", {}).get("check", args.tolerance)
-        )
+        tolerances = config.get("tolerances", {})
+        for key, value in (("counts", counts), ("tolerances", tolerances)):
+            if not isinstance(value, dict):
+                raise ConfigParseError(f"config {key} must be an object, got {value!r}")
+        counts = {name: _number(int, c, f"counts.{name}") for name, c in counts.items()}
+        check_tol = _number(float, tolerances.get("check", args.tolerance), "tolerances.check")
     else:
         names = list(SUITE_NAMES) if args.suites == "all" else args.suites.split(",")
         seed = args.seed

@@ -8,6 +8,8 @@ matrix reports every defect at once instead of the first one hit.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "FracmeasureError",
     "InvalidInput",
@@ -143,12 +145,18 @@ class CandidateLimitExceeded(FracmeasureError):
 
 
 class NumericalFailure(FracmeasureError):
-    """Linear program certificate did not close; carries the bracket."""
+    """A covering LP failed: its solve, or its certificate; carries the bracket.
+
+    A solve that ends without a solution has no bracket (both NaN), and
+    its message names the LP failure instead of a duality gap.
+    """
 
     def __init__(self, primal: float, dual: float, detail: str = "") -> None:
-        super().__init__(
-            f"duality gap not closed: primal={primal!r} dual={dual!r} {detail}".rstrip()
-        )
+        if math.isnan(primal) and math.isnan(dual):
+            message = f"LP solve failed: {detail}"
+        else:
+            message = f"duality gap not closed: primal={primal!r} dual={dual!r} {detail}"
+        super().__init__(message.rstrip())
         self.primal = primal
         self.dual = dual
 

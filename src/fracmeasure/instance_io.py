@@ -41,15 +41,18 @@ def read_instance(path) -> tuple[FiniteMetricSpace, PointMeasure]:
     for key in ("points", "measure", "epsilon_net"):
         if key not in doc:
             raise ConfigParseError(f"instance file {path} lacks key {key!r}")
-    ids = tuple(doc["points"])
-    kwargs = {}
-    if "coords" in doc:
-        kwargs["coords"] = np.array(doc["coords"], dtype=float)
-    if "dist" in doc:
-        kwargs["dist"] = np.array(doc["dist"], dtype=float)
+    if not isinstance(doc["measure"], dict):
+        raise ConfigParseError(f"instance file {path}: measure must be an object")
+    try:
+        ids = tuple(doc["points"])
+        epsilon_net = float(doc["epsilon_net"])
+        masses = {p: float(m) for p, m in doc["measure"].items()}
+        kwargs = {
+            key: np.array(doc[key], dtype=float) for key in ("coords", "dist") if key in doc
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"instance file {path}: {exc}") from exc
     if not kwargs:
         raise ConfigParseError(f"instance file {path} needs 'dist' or 'coords'")
-    space = validate_space(
-        epsilon_net=float(doc["epsilon_net"]), point_ids=ids, **kwargs
-    )
-    return space, point_measure(space, doc["measure"])
+    space = validate_space(epsilon_net=epsilon_net, point_ids=ids, **kwargs)
+    return space, point_measure(space, masses)

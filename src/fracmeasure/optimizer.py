@@ -25,9 +25,8 @@ integer search) goes through ``_covering_lp``, one direct call into
 scipy's bundled HiGHS bindings with the options linprog passes, so each
 result equals linprog's bit for bit.  HiGHS reporting the LP optimal
 gives the solution, infeasible gives None, and any other status, or a
-HiGHS error, raises NumericalFailure.  On a scipy without those
-(private) bindings the same LP goes through linprog; ``LP_BACKEND``
-names the route chosen at import, and ``linprog`` is bound to it.
+HiGHS error, raises NumericalFailure.  The bindings are private API;
+a scipy without them (older than 1.15) fails this module's import.
 
 The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
@@ -63,6 +62,10 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+# scipy's bundled HiGHS bindings: private API, present since scipy 1.15,
+# the floor in pyproject.toml.
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import (
     CandidateLimitExceeded,
@@ -298,30 +301,23 @@ def _incidence(instance: CoverInstance, cols: np.ndarray) -> _Incidence:
 
 # --- shared LP core -----------------------------------------------------
 
-# scipy's bundled HiGHS bindings are private API, so they are checked
-# once, here.  The options are the ones linprog(method="highs") passes
-# for this LP, so both routes hand HiGHS the same problem.
-try:
-    from scipy.optimize._highspy import _core as _highs
-
-    _HIGHS_OPTIONS = _highs.HighsOptions()
-    _HIGHS_OPTIONS.presolve = "on"
-    _HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
-    _HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
-    _HIGHS_OPTIONS.simplex_strategy = int(
-        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    )
-    _HIGHS_OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
-    _HIGHS_OPTIONS.output_flag = False
-    _HIGHS_OPTIONS.log_to_console = False
-    _HIGHS_INF = _highs.kHighsInf
-    _HIGHS_ERROR = _highs.HighsStatus.kError
-    _OPTIMAL = _highs.HighsModelStatus.kOptimal
-    _INFEASIBLE = _highs.HighsModelStatus.kInfeasible
-    _COLWISE = int(_highs.MatrixFormat.kColwise)
-    _MINIMIZE = int(_highs.ObjSense.kMinimize)
-except (ImportError, AttributeError):
-    _highs = None
+# The options are the ones linprog(method="highs") passes for this LP.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.simplex_strategy = int(
+    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+)
+_HIGHS_OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_INF = _highs.kHighsInf
+_HIGHS_ERROR = _highs.HighsStatus.kError
+_OPTIMAL = _highs.HighsModelStatus.kOptimal
+_INFEASIBLE = _highs.HighsModelStatus.kInfeasible
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
 def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
@@ -332,14 +328,7 @@ def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
     (value, x, y) with y the dual potentials of the row constraints when
     HiGHS reports the LP optimal, and None when it reports it
     infeasible.  Any other model status, or an error from HiGHS, raises
-    NumericalFailure naming the status.  The solve goes through
-    ``linprog``, the route chosen at import (see ``LP_BACKEND``).
-    """
-    return linprog(costs, row_ptr, row_cols)
-
-
-def _highs_covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
-    """:func:`_covering_lp` straight through scipy's bundled HiGHS bindings.
+    NumericalFailure naming the status.
 
     HiGHS gets the LP as ``-A x <= -1`` with ``A`` by columns, rows
     ascending in each, as linprog hands it over, and a fresh model per
@@ -372,74 +361,16 @@ def _highs_covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndar
     if status == _INFEASIBLE:
         return None
     if status != _OPTIMAL:
-        raise NumericalFailure(float("nan"), float("nan"), f"LP model status {status.name}")
+        raise NumericalFailure(float("nan"), float("nan"), f"HiGHS model status {status.name}")
     solution = model.getSolution()
     x = np.clip(np.asarray(solution.col_value), 0.0, None)
     y = np.clip(-np.asarray(solution.row_dual), 0.0, None)
     return float(costs @ x), x, y
 
 
-def _linprog_covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
-    """:func:`_covering_lp` through ``scipy.optimize.linprog``.
-
-    Used only where the direct route is unavailable; linprog's status 2
-    (infeasible) gives None, any other non-zero status raises.
-    """
-    from scipy import sparse
-    from scipy.optimize import linprog as scipy_linprog
-
-    m = len(row_ptr) - 1
-    res = scipy_linprog(
-        c=costs,
-        A_ub=sparse.csr_matrix(
-            (np.full(len(row_cols), -1.0), row_cols, row_ptr), shape=(m, len(costs))
-        ),
-        b_ub=-np.ones(m),
-        bounds=(0, None),
-        method="highs",
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise NumericalFailure(float("nan"), float("nan"), f"LP solver status {res.status}")
-    x = np.clip(res.x, 0.0, None)
-    y = np.clip(-np.asarray(res.ineqlin.marginals), 0.0, None)
-    return float(costs @ x), x, y
-
-
-def _highs_route_works() -> bool:
-    """Whether the direct route solves a one-row, one-column probe LP exactly.
-
-    The array form of passModel is private API too, so a scipy that
-    rejects it, fails the solve, or returns anything but the known
-    answer (value 1, x = y = [1]) falls back to linprog.
-    """
-    if _highs is None:
-        return False
-    try:
-        got = _highs_covering_lp(np.ones(1), np.array([0, 1]), np.zeros(1, dtype=np.intp))
-    except (TypeError, NumericalFailure):
-        return False
-    return (
-        got is not None
-        and got[0] == 1.0
-        and np.array_equal(got[1], [1.0])
-        and np.array_equal(got[2], [1.0])
-    )
-
-
-# Which route every covering LP takes, chosen once at import from what is
-# installed: "highs" (direct) or "linprog" (fallback).
-LP_BACKEND = "highs" if _highs_route_works() else "linprog"
-# The chosen route is bound to ``linprog``, the name every covering LP was
-# solved under before the direct route; perfbench/tracer.py times the LPs
-# by wrapping ``optimizer.linprog``.
-linprog = _highs_covering_lp if LP_BACKEND == "highs" else _linprog_covering_lp
+# Every covering LP is solved through this module name, which
+# perfbench/tracer.py wraps to time and count the LPs.
+linprog = _covering_lp
 
 
 # --- fractional solver --------------------------------------------------
@@ -469,7 +400,7 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
             status="infeasible-infinite",
         )
     costs = instance.costs[cols]
-    out = _covering_lp(costs, inc.row_ptr, inc.row_cols)
+    out = linprog(costs, inc.row_ptr, inc.row_cols)
     if out is None:
         raise NumericalFailure(
             INF, 0.0, "LP reported infeasible although finite-cost candidates cover the target"
@@ -611,7 +542,7 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         row_ptr = csr_offsets(live[rem])
         row_cols = (np.cumsum(in_lp) - 1)[inc.row_cols[keep]]
         costs_arr = cost[cols]
-        out = _covering_lp(costs_arr, row_ptr, row_cols)
+        out = linprog(costs_arr, row_ptr, row_cols)
         if out is None:
             return INF, None
         _, x, y = out

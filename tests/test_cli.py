@@ -245,3 +245,64 @@ def test_nonfinite_instance_exits_2_without_traceback(tmp_path, capsys, dist, ma
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_TWO_POINTS = {
+    "points": ["a", "b"],
+    "dist": [[0.0, 1.0], [1.0, 0.0]],
+    "measure": {"a": 0.5, "b": 0.5},
+    "epsilon_net": 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "target, changes, mentions",
+    [
+        ("sweep", {}, None),
+        ("sweep", {"q_grid": ["abc"]}, "q_grid"),
+        ("sweep", {"delta_grid": 0.5}, "delta_grid"),
+        ("verify", {}, None),
+        ("verify", {"seed": "abc"}, "seed"),
+        ("verify", {"seed": float("inf")}, "seed"),
+        ("verify", {"tolerances": 3}, "tolerances"),
+        ("verify", {"tolerances": {"check": "abc"}}, "tolerances.check"),
+        ("verify", {"suites": 3}, "suites"),
+        ("verify", {"counts": {"wh-order": "abc"}}, "counts.wh-order"),
+        ("instance", {"measure": {"a": "x", "b": 0.5}}, "'x'"),
+        ("instance", {"measure": [0.5, 0.5]}, "measure"),
+        ("instance", {"epsilon_net": "abc"}, "'abc'"),
+        ("instance", {"dist": [[0.0, "far"], ["far", 0.0]]}, "'far'"),
+    ],
+    ids=[
+        "sweep-valid", "q_grid-string", "delta_grid-scalar",
+        "verify-valid", "seed-string", "seed-inf", "tolerances-scalar", "check-string",
+        "suites-scalar", "count-string",
+        "mass-string", "measure-list", "epsilon_net-string", "dist-string",
+    ],
+)
+def test_malformed_config_values_exit_2_without_traceback(
+    tmp_path, capsys, target, changes, mentions
+):
+    # ``changes`` replaces keys of a valid verify config, or of a sweep
+    # config or the instance file it reads; no change must exit 0.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({**_TWO_POINTS, **(changes if target == "instance" else {})}))
+    if target == "verify":
+        config = {"suites": ["wh-order"], "counts": {"wh-order": 1}, **changes}
+    else:
+        config = {
+            "instances": [str(inst)],
+            "premeasure": {"kind": "constant", "c": 1},
+            "q_grid": [0.0],
+            "delta_grid": [1.0],
+            **(changes if target == "sweep" else {}),
+        }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["verify" if target == "verify" else "sweep", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    if mentions is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2
+        assert err.startswith("error:") and mentions in err and "Traceback" not in err

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -302,8 +305,7 @@ def test_nonfinite_q_is_rejected(two_points, linear_gauge, solve, q):
 # --- the LP adapter ---------------------------------------------------------
 #
 # _covering_lp hands the covering LP straight to scipy's bundled HiGHS
-# bindings, or to linprog where scipy lacks them.  Both routes must give
-# what linprog gives, bit for bit.
+# bindings.  It must give what linprog gives, bit for bit.
 
 
 def _linprog_reference(costs, row_ptr, row_cols):
@@ -362,24 +364,23 @@ def _seeded_instances():
 def recorded_lps():
     """Every covering LP that seeded H and W solves pose, in call order."""
     lps = []
-    solve = optimizer._covering_lp
+    solve = optimizer.linprog
 
     def record(*lp):
         lps.append(tuple(a.copy() for a in lp))
         return solve(*lp)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_covering_lp", record)
+        mp.setattr(optimizer, "linprog", record)
         for inst in _seeded_instances():
             solve_integer(inst)
             solve_fractional(inst)
     return lps
 
 
-@pytest.fixture(params=["direct", "linprog"])
-def lp_route(request, monkeypatch):
-    if request.param == "linprog":  # as on a scipy without the bindings
-        monkeypatch.setattr(optimizer, "linprog", optimizer._linprog_covering_lp)
+@pytest.fixture(params=["direct"])
+def lp_route(request):
+    """The route covering LPs take: the direct HiGHS call is the only one."""
     return request.param
 
 
@@ -399,66 +400,61 @@ def test_adapter_reports_an_empty_row_infeasible(lp_route):
 
 
 def test_adapter_raises_on_an_unbounded_lp(lp_route):
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure) as failure:
         optimizer._covering_lp(np.array([-1.0, 1.0]), np.array([0, 2]), np.array([0, 1]))
+    # a status failure has no primal/dual bracket and is not worded as a gap
+    assert "kUnbounded" in str(failure.value)
+    assert "duality gap" not in str(failure.value)
 
 
 def test_every_covering_lp_goes_through_the_linprog_name(monkeypatch):
-    # Wrapping ``optimizer.linprog`` sees each LP the solvers pose.
-    seen = []
+    # Wrapping ``optimizer.linprog`` sees each HiGHS solve the solvers run.
+    seen, runs = [], []
     route = optimizer.linprog
+    assert route is optimizer._covering_lp
 
     def spy(*lp):
         seen.append(lp)
         return route(*lp)
 
+    class Spy(optimizer._highs._Highs):
+        def run(self):
+            runs.append(self)
+            return super().run()
+
     monkeypatch.setattr(optimizer, "linprog", spy)
-    calls = []
-    lp = optimizer._covering_lp
-
-    def record(*args):
-        calls.append(args)
-        return lp(*args)
-
-    monkeypatch.setattr(optimizer, "_covering_lp", record)
+    monkeypatch.setattr(optimizer._highs, "_Highs", Spy)
     space, measure = cantor_net(4)
     power = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))
     inst = build_cover_instance(space, measure, 1.0, power, space.point_ids, 0.2)
     solve_integer(inst)
     solve_fractional(inst)
-    assert len(calls) >= 2 and len(seen) == len(calls)
+    assert len(runs) >= 2 and len(seen) == len(runs)
 
 
-@pytest.mark.parametrize(
-    "outcome",
-    [
-        TypeError("array form of passModel not accepted"),
-        NumericalFailure(float("nan"), float("nan"), "LP model status kError"),
-        None,
-        (1.0, np.array([0.5]), np.array([1.0])),
-        (1.0, np.array([1.0]), np.array([0.0])),
-    ],
-)
-def test_the_probe_rejects_a_failing_or_wrong_direct_route(monkeypatch, outcome):
-    def direct(*lp):
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    monkeypatch.setattr(optimizer, "_highs_covering_lp", direct)
-    assert not optimizer._highs_route_works()
-
-
-def test_the_probe_accepts_the_installed_bindings():
-    if optimizer._highs is None:
-        pytest.skip("scipy without the HiGHS bindings")
-    assert optimizer._highs_route_works()
-    assert optimizer.LP_BACKEND == "highs" and optimizer.linprog is optimizer._highs_covering_lp
+def test_a_scipy_without_the_highs_bindings_fails_the_import():
+    # No silent fallback: blocking the bindings makes the import raise.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy.optimize._highspy'] = None\n"
+        "try:\n"
+        "    import fracmeasure.optimizer\n"
+        "except ImportError as exc:\n"
+        "    print('ImportError:', exc)\n"
+        "else:\n"
+        "    sys.exit('imported without the HiGHS bindings')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ImportError:") and "_highspy" in proc.stdout
 
 
 def test_adapter_passes_the_options_linprog_passes(monkeypatch):
-    if optimizer.LP_BACKEND != "highs":
-        pytest.skip("scipy without the HiGHS bindings")
     core = optimizer._highs
     seen = []
 
