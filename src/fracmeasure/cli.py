@@ -34,9 +34,8 @@ from .diagnostics import (
     premeasure_doubling,
 )
 from .errors import ConfigParseError, FracmeasureError
-from .extended import CHECK_TOL
 from .generators import cantor_net, cycle_metric, random_cloud, uniform_grid
-from .instance_io import read_instance, write_instance
+from .instance_io import read_instance, read_json_object, write_instance
 from .metric import Ball, uniform_measure
 from .optimizer import (
     hausdorff_premeasure,
@@ -200,19 +199,6 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigParseError("config must be a JSON object")
-    return doc
-
-
 def _number(kind, value, what: str):
     """``kind(value)`` for a config entry; a malformed value is a ConfigParseError."""
     try:
@@ -227,15 +213,29 @@ def _numbers(values, what: str) -> list[float]:
     return [_number(float, v, what) for v in values]
 
 
+def _strings(values, what: str) -> list[str]:
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise ConfigParseError(f"config {what} must be a list of strings, got {values!r}")
+    return values
+
+
+def _count(value, what: str) -> int:
+    """A suite case count; a run that checks no case must not pass."""
+    count = _number(int, value, what)
+    if count < 1:
+        raise ConfigParseError(f"{what} must be at least 1, got {count}")
+    return count
+
+
 def _sweep_task(task):
     instance_path, premeasure_doc, q, delta = task
     return _compute_rows(instance_path, premeasure_doc, q, delta, ("H", "W", "Wtilde"))
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = read_json_object(args.config, "config")
     try:
-        instances = list(config["instances"])
+        instances = _strings(config["instances"], "instances")
         premeasure_doc = config["premeasure"]
     except KeyError as exc:
         raise ConfigParseError(f"config missing key {exc}") from exc
@@ -262,39 +262,32 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.config:
-        config = _load_config(args.config)
-        names = config.get("suites", list(SUITE_NAMES))
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise ConfigParseError(f"config suites must be a list of names, got {names!r}")
+        config = read_json_object(args.config, "config")
+        unknown = sorted(set(config) - {"suites", "seed", "counts"})
+        if unknown:
+            raise ConfigParseError(f"unknown verify config key(s): {', '.join(unknown)}")
+        names = _strings(config.get("suites", list(SUITE_NAMES)), "suites")
         seed = _number(int, config.get("seed", args.seed), "seed")
         counts = config.get("counts", {})
-        tolerances = config.get("tolerances", {})
-        for key, value in (("counts", counts), ("tolerances", tolerances)):
-            if not isinstance(value, dict):
-                raise ConfigParseError(f"config {key} must be an object, got {value!r}")
-        counts = {name: _number(int, c, f"counts.{name}") for name, c in counts.items()}
-        check_tol = _number(float, tolerances.get("check", args.tolerance), "tolerances.check")
+        if not isinstance(counts, dict):
+            raise ConfigParseError(f"config counts must be an object, got {counts!r}")
+        counts = {name: _count(c, f"counts.{name}") for name, c in counts.items()}
     else:
         names = list(SUITE_NAMES) if args.suites == "all" else args.suites.split(",")
         seed = args.seed
         counts = {}
         if args.count is not None:
-            counts = {name: args.count for name in names}
-        check_tol = args.tolerance
+            count = _count(args.count, "--count")
+            counts = {name: count for name in names}
     failed = False
     reports = []
     for name in names:
-        report = run_suite(
-            name.strip(), count=counts.get(name.strip()), seed=seed, check_tol=check_tol
-        )
+        report = run_suite(name.strip(), count=counts.get(name.strip()), seed=seed)
         reports.append(report)
         state = "PASS" if report.passed else "FAIL"
         print(f"{report.name}: {state} ({report.cases} cases)")
         for tol in report.tolerances:
-            kind = "check tolerance" if tol.configured else "fixed"
-            print(f"  tolerance {tol.tol!r} ({kind}): {tol.relation}")
-        if not report.applies_check_tol:
-            print(f"  the check tolerance {check_tol!r} is not applied by this suite")
+            print(f"  tolerance {tol.tol!r}: {tol.relation}")
         for line in report.violations:
             print(f"  {line}")
         failed = failed or not report.passed
@@ -307,7 +300,6 @@ def _cmd_verify(args) -> int:
                         "cases": r.cases,
                         "violations": r.violations,
                         "tolerances": [t._asdict() for t in r.tolerances],
-                        "applies_check_tol": r.applies_check_tol,
                     }
                     for r in reports
                 ],
@@ -406,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--config", default=None)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--count", type=int, default=None, help="override case count")
-    ver.add_argument("--tolerance", type=float, default=CHECK_TOL)
     ver.add_argument("--out", default=None, help="write a JSON report")
     ver.set_defaults(fn=_cmd_verify)
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigParseError, MissingInstance
 from .metric import FiniteMetricSpace, PointMeasure, point_measure, validate_space
 
-__all__ = ["write_instance", "read_instance"]
+__all__ = ["write_instance", "read_instance", "read_json_object"]
 
 
 def write_instance(path, space: FiniteMetricSpace, measure: PointMeasure) -> None:
@@ -30,14 +30,25 @@ def write_instance(path, space: FiniteMetricSpace, measure: PointMeasure) -> Non
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def read_instance(path) -> tuple[FiniteMetricSpace, PointMeasure]:
-    p = Path(path)
-    if not p.exists():
-        raise MissingInstance(str(path))
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``.
+
+    A file that cannot be read or decoded, or that holds anything but
+    an object, raises ConfigParseError naming ``what`` and the path.
+    """
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"instance file {path}: {exc}") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigParseError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigParseError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
+def read_instance(path) -> tuple[FiniteMetricSpace, PointMeasure]:
+    if not Path(path).exists():
+        raise MissingInstance(str(path))
+    doc = read_json_object(path, "instance file")
     for key in ("points", "measure", "epsilon_net"):
         if key not in doc:
             raise ConfigParseError(f"instance file {path} lacks key {key!r}")

@@ -48,10 +48,8 @@ point covered by the fewest still-allowed candidates and tries its
 candidates in the global order (descending coverage per unit cost, ties
 by lexicographic (center, radius)), excluding earlier branches from
 later ones, which makes the search exhaustive without repetition and
-deterministic.  If the node budget is exhausted, instances of at most
-20 candidates fall back to the subset scan that also serves
-``brute_force_oracle``; larger ones
-raise CandidateLimitExceeded carrying the proven bound bracket.
+deterministic.  If the node budget is exhausted, the search raises
+CandidateLimitExceeded carrying the proven bound bracket.
 """
 
 from __future__ import annotations
@@ -114,7 +112,6 @@ __all__ = [
 ]
 
 _NODE_LIMIT = 2**30
-_EXHAUSTIVE_LIMIT = 20  # candidates; fallback bound for the subset scan
 # Relative prune margin: strictly above the 1e-12 relative shrink of the
 # certified LP bound, so a tight bound prunes, and far below SOLVER_TOL.
 _PRUNE_REL = 1e-11
@@ -456,10 +453,6 @@ def _greedy_cover(cost: np.ndarray, inc: _Incidence, rem: np.ndarray) -> list[in
     return picks
 
 
-class _NodeBudget(Exception):
-    pass
-
-
 def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> IntegerCoverSolution:
     """Exact minimum-cost cover of the target by candidate members.
 
@@ -570,7 +563,7 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         nonlocal nodes, root_lower
         nodes += 1
         if nodes > node_limit:
-            raise _NodeBudget
+            raise CandidateLimitExceeded(lower=root_lower, upper=best_val, nodes=nodes)
         rows = np.flatnonzero(rem)
         if not rows.size:
             record(chosen)
@@ -607,24 +600,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         finally:
             banned[tried] = False
 
-    try:
-        visit(remaining0, 0.0, [])
-    except _NodeBudget:
-        if n <= _EXHAUSTIVE_LIMIT:
-            # Scan the columns in candidate order, so the value is the
-            # plain cost sum in that order.
-            ids = np.sort(order)
-            bit = np.zeros(len(costs), dtype=np.int64)
-            bit[ids] = 1 << np.arange(n, dtype=np.int64)
-            point_masks = np.zeros(m, dtype=np.int64)
-            np.bitwise_or.at(point_masks, inc.row_of, bit[order][inc.row_cols])
-            val, subset = _min_cost_subset(costs[ids].tolist(), point_masks[remaining0])
-            picked = [int(i) for j, i in enumerate(ids) if subset >> j & 1]
-            return IntegerCoverSolution(
-                chosen=tuple(sorted(free + picked)), value=val, status="optimal", nodes=nodes
-            )
-        raise CandidateLimitExceeded(lower=root_lower, upper=best_val, nodes=nodes) from None
-
+    visit(remaining0, 0.0, [])
+    del visit  # the closure refers to itself: free the cycle, and the arrays it holds, now
     chosen = sorted(free + best_set)
     return IntegerCoverSolution(chosen=tuple(chosen), value=best_val, status="optimal", nodes=nodes)
 

@@ -4,10 +4,8 @@ Each suite draws a deterministic corpus from its seed, checks one
 relation between computed quantities on every case, and reports the
 violations verbatim (one line per failed case, both sides included).
 A suite passes exactly when no case violates its relation.  Every report
-lists the tolerance each relation applied and whether it is the
-configured check tolerance (``check_tol``); suites whose relations use
-only fixed tolerances (``SOLVER_TOL`` or exact comparisons) say that
-they do not apply ``check_tol``.
+lists the fixed tolerance each relation applied: ``CHECK_TOL``,
+``SOLVER_TOL`` or 0.0 for an exact comparison.
 
 Suites and their relations:
 
@@ -95,8 +93,7 @@ class AppliedTolerance(NamedTuple):
     """The tolerance one relation of a suite applied (0.0: exact comparison)."""
 
     relation: str
-    tol: float
-    configured: bool  # True when it is the configured check tolerance
+    tol: float = SOLVER_TOL
 
 
 @dataclass
@@ -109,18 +106,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    @property
-    def applies_check_tol(self) -> bool:
-        return any(t.configured for t in self.tolerances)
-
-
-def _fixed(relation: str, tol: float = SOLVER_TOL) -> AppliedTolerance:
-    return AppliedTolerance(relation=relation, tol=tol, configured=False)
-
-
-def _configured(relation: str, tol: float) -> AppliedTolerance:
-    return AppliedTolerance(relation=relation, tol=tol, configured=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,13 +296,13 @@ def _le(a: float, b: float, tol: float) -> bool:
     return a <= b + tol
 
 
-def suite_wh_order(count: int = 500, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_wh_order(count: int = 500, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
         name="wh-order",
         cases=0,
         tolerances=[
-            _fixed("W <= H + tol"),
-            _fixed("gap witness: |W - 5/3| <= tol and |H - 2| <= tol"),
+            AppliedTolerance("W <= H + tol"),
+            AppliedTolerance("gap witness: |W - 5/3| <= tol and |H - 2| <= tol"),
         ],
     )
     for case in build_mixed_corpus(seed, count, full_support=False):
@@ -364,13 +349,13 @@ def _two_cluster_case(rng: np.random.Generator, i: int):
     return space, measure, e, f, min(delta, 2.0)
 
 
-def suite_subadd(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_subadd(count: int = 100, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
         name="subadd",
         cases=0,
         tolerances=[
-            _fixed("W(E u F) <= W(E) + W(F) + tol"),
-            _fixed("separated parts: |W(E u F) - W(E) - W(F)| <= tol"),
+            AppliedTolerance("W(E u F) <= W(E) + W(F) + tol"),
+            AppliedTolerance("separated parts: |W(E u F) - W(E) - W(F)| <= tol"),
         ],
     )
     rng = np.random.default_rng(seed)
@@ -411,11 +396,13 @@ def suite_subadd(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) 
     return report
 
 
-def suite_product_w(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_product_w(count: int = 100, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
         name="product-w",
         cases=0,
-        tolerances=[_configured("|W(ExF) - W(E)W(F)| <= tol * max(1, |W(E)W(F)|)", check_tol)],
+        tolerances=[
+            AppliedTolerance("|W(ExF) - W(E)W(F)| <= tol * max(1, |W(E)W(F)|)", CHECK_TOL)
+        ],
     )
     for case in build_product_corpus(seed, count):
         report.cases += 1
@@ -432,20 +419,20 @@ def suite_product_w(count: int = 100, seed: int = 0, check_tol: float = CHECK_TO
             case.right, case.right_measure, case.q, case.right_xi, case.right_target, case.delta
         ).value
         expect = wl * wr
-        if abs(w.value - expect) > check_tol * max(1.0, abs(expect)):
+        if abs(w.value - expect) > CHECK_TOL * max(1.0, abs(expect)):
             report.violations.append(
                 f"{case.cid}: W(ExF)={w.value!r} vs W(E)W(F)={expect!r}"
             )
     return report
 
 
-def suite_sandwich(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_sandwich(count: int = 100, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
         name="sandwich",
         cases=0,
         tolerances=[
-            _configured("W(E)H(F) <= H(ExF) + tol", check_tol),
-            _configured("H(ExF) <= H(E)H(F) + tol", check_tol),
+            AppliedTolerance("W(E)H(F) <= H(ExF) + tol", CHECK_TOL),
+            AppliedTolerance("H(ExF) <= H(E)H(F) + tol", CHECK_TOL),
         ],
     )
     for case in build_product_corpus(seed, count):
@@ -467,18 +454,18 @@ def suite_sandwich(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL
         ).value
         lower = wl * hr
         upper = hl * hr
-        if not _le(lower, h_prod.value, check_tol):
+        if not _le(lower, h_prod.value, CHECK_TOL):
             report.violations.append(
                 f"{case.cid}: W(E)H(F)={lower!r} exceeds H(ExF)={h_prod.value!r}"
             )
-        if not _le(h_prod.value, upper, check_tol):
+        if not _le(h_prod.value, upper, CHECK_TOL):
             report.violations.append(
                 f"{case.cid}: H(ExF)={h_prod.value!r} exceeds H(E)H(F)={upper!r}"
             )
     return report
 
 
-def suite_zero_infinite(count: int = 20, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_zero_infinite(count: int = 20, seed: int = 0) -> SuiteReport:
     """An infinite-value factor times a null-premeasure factor covers to zero.
 
     The left factor isolates a zero-mass point beyond the reach of any
@@ -489,7 +476,9 @@ def suite_zero_infinite(count: int = 20, seed: int = 0, check_tol: float = CHECK
     report = SuiteReport(
         name="zero-infinite",
         cases=0,
-        tolerances=[_fixed("H(E) = W(E) = inf, H(F) = 0, H(ExF) = W(ExF) = 0 (exact)", 0.0)],
+        tolerances=[
+            AppliedTolerance("H(E) = W(E) = inf, H(F) = 0, H(ExF) = W(ExF) = 0 (exact)", 0.0)
+        ],
     )
     rng = np.random.default_rng(seed)
     for i in range(count):
@@ -542,9 +531,9 @@ def suite_zero_infinite(count: int = 20, seed: int = 0, check_tol: float = CHECK
     return report
 
 
-def suite_noncentered(count: int = 200, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_noncentered(count: int = 200, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
-        name="noncentered", cases=0, tolerances=[_fixed("Wtilde <= W + tol")]
+        name="noncentered", cases=0, tolerances=[AppliedTolerance("Wtilde <= W + tol")]
     )
     for case in build_mixed_corpus(seed, count, full_support=False):
         report.cases += 1
@@ -559,14 +548,16 @@ def suite_noncentered(count: int = 200, seed: int = 0, check_tol: float = CHECK_
     return report
 
 
-def suite_hxh(count: int = 50, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_hxh(count: int = 50, seed: int = 0) -> SuiteReport:
     gauges = (
         HausdorffFunction.linear(),
         HausdorffFunction.power_law(0.5),
         HausdorffFunction.power_law(_LOG23),
     )
     report = SuiteReport(
-        name="hxh", cases=0, tolerances=[_fixed("W(product gauge) <= W(joint gauge) + tol")]
+        name="hxh",
+        cases=0,
+        tolerances=[AppliedTolerance("W(product gauge) <= W(joint gauge) + tol")],
     )
     rng = np.random.default_rng(seed)
     for case in build_product_corpus(seed + 1, count):
@@ -590,10 +581,10 @@ def suite_hxh(count: int = 50, seed: int = 0, check_tol: float = CHECK_TOL) -> S
     return report
 
 
-def suite_density(count: int = 500, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_density(count: int = 500, seed: int = 0) -> SuiteReport:
     """nu(E) <= s * H(E) with nu = mu, skipping targets outside the support."""
     report = SuiteReport(
-        name="density", cases=0, tolerances=[_fixed("nu(E) <= s * H(E) + tol")]
+        name="density", cases=0, tolerances=[AppliedTolerance("nu(E) <= s * H(E) + tol")]
     )
     for case in build_mixed_corpus(seed, count, full_support=False):
         supp = case.measure.support
@@ -623,9 +614,9 @@ def _random_ball_family(rng: np.random.Generator, space: FiniteMetricSpace):
     return balls
 
 
-def suite_vitali(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_vitali(count: int = 100, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
-        name="vitali", cases=0, tolerances=[_fixed("5r packing checks (exact)", 0.0)]
+        name="vitali", cases=0, tolerances=[AppliedTolerance("5r packing checks (exact)", 0.0)]
     )
     rng = np.random.default_rng(seed)
     for i in range(count):
@@ -642,11 +633,11 @@ def suite_vitali(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) 
     return report
 
 
-def suite_besicovitch(count: int = 100, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_besicovitch(count: int = 100, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
         name="besicovitch",
         cases=0,
-        tolerances=[_fixed("bounded-overlap family checks (exact)", 0.0)],
+        tolerances=[AppliedTolerance("bounded-overlap family checks (exact)", 0.0)],
     )
     rng = np.random.default_rng(seed)
     for i in range(count):
@@ -700,10 +691,10 @@ def _doubling_corpus(seed: int, count: int) -> list[SingleCase]:
     return cases
 
 
-def suite_lemma_8c(count: int = 40, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_lemma_8c(count: int = 40, seed: int = 0) -> SuiteReport:
     """H <= 8 * C3 * W with C3 the worst 3r dilation cost ratio per instance."""
     report = SuiteReport(
-        name="lemma-8c", cases=0, tolerances=[_fixed("H <= 8 * C3 * W + tol")]
+        name="lemma-8c", cases=0, tolerances=[AppliedTolerance("H <= 8 * C3 * W + tol")]
     )
     for case in _doubling_corpus(seed, count):
         report.cases += 1
@@ -726,7 +717,7 @@ def suite_lemma_8c(count: int = 40, seed: int = 0, check_tol: float = CHECK_TOL)
     return report
 
 
-def suite_example_zero(count: int = 0, seed: int = 0, check_tol: float = CHECK_TOL) -> SuiteReport:
+def suite_example_zero(count: int = 0, seed: int = 0) -> SuiteReport:
     """Vanishing-value chain on the level-8 middle-thirds net.
 
     With the mass-linear premeasure mu(B) * phi(2r), phi the identity,
@@ -740,8 +731,8 @@ def suite_example_zero(count: int = 0, seed: int = 0, check_tol: float = CHECK_T
         name="example-zero",
         cases=0,
         tolerances=[
-            _configured("H <= chain bound + tol * max(1, bound)", check_tol),
-            _fixed("H does not fall as delta shrinks, less tol"),
+            AppliedTolerance("H <= chain bound + tol * max(1, bound)", CHECK_TOL),
+            AppliedTolerance("H does not fall as delta shrinks, less tol"),
         ],
     )
     space, mu = cantor_net(8, 1.0 / 3.0, 0.5)
@@ -761,7 +752,7 @@ def suite_example_zero(count: int = 0, seed: int = 0, check_tol: float = CHECK_T
             h = hausdorff_premeasure(space, mu, q, xi, space.point_ids, d).value
             bound = phi(d) * gammas[d] ** q * big_mass ** (q + 1.0)
             values.append((d, h, bound))
-            if not _le(h, bound, check_tol * max(1.0, bound)):
+            if not _le(h, bound, CHECK_TOL * max(1.0, bound)):
                 report.violations.append(
                     f"ez-q{q}-d{d!r}: H={h!r} exceeds chain bound {bound!r}"
                 )
@@ -791,16 +782,11 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(
-    name: str,
-    count: int | None = None,
-    seed: int = 0,
-    check_tol: float = CHECK_TOL,
-) -> SuiteReport:
+def run_suite(name: str, count: int | None = None, seed: int = 0) -> SuiteReport:
     """Run one suite by name; ``count`` falls back to the suite default."""
     if name not in _SUITES:
         raise SuiteUnknown(name, SUITE_NAMES)
     fn = _SUITES[name]
     if count is None:
-        return fn(seed=seed, check_tol=check_tol)
-    return fn(count=count, seed=seed, check_tol=check_tol)
+        return fn(seed=seed)
+    return fn(count=count, seed=seed)

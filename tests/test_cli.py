@@ -104,21 +104,21 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "--suites", "wh-order", "--count", "3", "--seed", "1"]) == 0
     captured = capsys.readouterr()
     assert "wh-order: PASS" in captured.out
-    assert "tolerance 1e-09 (fixed): W <= H + tol" in captured.out
-    assert "the check tolerance 1e-07 is not applied by this suite" in captured.out
+    assert "tolerance 1e-09: W <= H + tol" in captured.out
 
 
 def test_verify_prints_the_configured_tolerance(tmp_path, capsys):
+    # The check tolerance is the fixed CHECK_TOL; it is printed and written to --out.
     out_file = tmp_path / "verify.json"
-    argv = ["verify", "--suites", "product-w", "--count", "2", "--tolerance", "2e-08",
-            "--out", str(out_file)]
+    argv = ["verify", "--suites", "product-w", "--count", "2", "--out", str(out_file)]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "tolerance 2e-08 (check tolerance)" in out
-    assert "is not applied" not in out
+    assert "tolerance 1e-07: |W(ExF) - W(E)W(F)| <= tol * max(1, |W(E)W(F)|)" in out
     (report,) = json.loads(out_file.read_text())
-    assert report["applies_check_tol"] is True
-    assert [t["tol"] for t in report["tolerances"]] == [2e-08]
+    assert set(report) == {"suite", "cases", "violations", "tolerances"}
+    assert report["tolerances"] == [
+        {"relation": "|W(ExF) - W(E)W(F)| <= tol * max(1, |W(E)W(F)|)", "tol": 1e-07}
+    ]
 
 
 def test_verify_unknown_suite(capsys):
@@ -255,54 +255,87 @@ _TWO_POINTS = {
 }
 
 
+_CONSTANT = '{"kind": "constant", "c": 1}'
+
+
 @pytest.mark.parametrize(
     "target, changes, mentions",
     [
         ("sweep", {}, None),
         ("sweep", {"q_grid": ["abc"]}, "q_grid"),
         ("sweep", {"delta_grid": 0.5}, "delta_grid"),
+        ("sweep", {"instances": "/abs/inst.json"}, "instances"),
+        ("sweep", {"instances": 3}, "instances"),
+        ("sweep", {"instances": [3]}, "instances"),
+        ("sweep", b'{"instances": ["\xff"]}', "config"),
         ("verify", {}, None),
         ("verify", {"seed": "abc"}, "seed"),
         ("verify", {"seed": float("inf")}, "seed"),
-        ("verify", {"tolerances": 3}, "tolerances"),
-        ("verify", {"tolerances": {"check": "abc"}}, "tolerances.check"),
+        ("verify", {"tolerances": {"check": 1e-7}}, "tolerances"),
         ("verify", {"suites": 3}, "suites"),
         ("verify", {"counts": {"wh-order": "abc"}}, "counts.wh-order"),
+        ("verify", {"counts": {"wh-order": 0}}, "counts.wh-order"),
+        ("verify", b'{"suites": ["\xff"]}', "config"),
         ("instance", {"measure": {"a": "x", "b": 0.5}}, "'x'"),
         ("instance", {"measure": [0.5, 0.5]}, "measure"),
         ("instance", {"epsilon_net": "abc"}, "'abc'"),
         ("instance", {"dist": [[0.0, "far"], ["far", 0.0]]}, "'far'"),
+        ("instance", 3, "instance file"),
+        ("instance", b'{"points": ["\xff"]}', "instance file"),
+        ("argv", ["compute", "--instance", "TMP", "--premeasure", _CONSTANT,
+                  "--q", "0", "--delta", "1.0"], "instance file"),
+        ("argv", ["verify", "--suites", "subadd", "--count", "-3"], "--count"),
+        ("argv", ["verify", "--suites", "product-w", "--count", "0"], "--count"),
+        ("argv", ["verify", "--suites", "wh-order", "--tolerance", "1e-6"], "--tolerance"),
     ],
     ids=[
         "sweep-valid", "q_grid-string", "delta_grid-scalar",
-        "verify-valid", "seed-string", "seed-inf", "tolerances-scalar", "check-string",
-        "suites-scalar", "count-string",
+        "instances-string", "instances-number", "instances-number-list", "sweep-config-bytes",
+        "verify-valid", "seed-string", "seed-inf", "tolerances-key",
+        "suites-scalar", "count-string", "count-zero", "verify-config-bytes",
         "mass-string", "measure-list", "epsilon_net-string", "dist-string",
+        "instance-number", "instance-bytes",
+        "instance-directory", "count-arg-negative", "count-arg-zero", "tolerance-arg",
     ],
 )
 def test_malformed_config_values_exit_2_without_traceback(
     tmp_path, capsys, target, changes, mentions
 ):
     # ``changes`` replaces keys of a valid verify config, or of a sweep
-    # config or the instance file it reads; no change must exit 0.
+    # config or the instance file it reads; bytes or a non-object value
+    # replace the whole file.  An "argv" case runs its own command line,
+    # with TMP standing for a directory.  No change must exit 0.
+    def write(path, base, own):
+        if isinstance(own, bytes):
+            path.write_bytes(own)
+        else:
+            path.write_text(json.dumps({**base, **own} if isinstance(own, dict) else own))
+
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({**_TWO_POINTS, **(changes if target == "instance" else {})}))
+    cfg = tmp_path / "config.json"
+    write(inst, _TWO_POINTS, changes if target == "instance" else {})
     if target == "verify":
-        config = {"suites": ["wh-order"], "counts": {"wh-order": 1}, **changes}
+        write(cfg, {"suites": ["wh-order"], "counts": {"wh-order": 1}}, changes)
     else:
-        config = {
+        sweep = {
             "instances": [str(inst)],
-            "premeasure": {"kind": "constant", "c": 1},
+            "premeasure": json.loads(_CONSTANT),
             "q_grid": [0.0],
             "delta_grid": [1.0],
-            **(changes if target == "sweep" else {}),
         }
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
-    code = main(["verify" if target == "verify" else "sweep", "--config", str(cfg)])
+        write(cfg, sweep, changes if target == "sweep" else {})
+    if target == "argv":
+        argv = [str(tmp_path) if arg == "TMP" else arg for arg in changes]
+    else:
+        argv = ["verify" if target == "verify" else "sweep", "--config", str(cfg)]
+    try:
+        code, rejected = main(argv), False
+    except SystemExit as exc:
+        code, rejected = exc.code, True
     err = capsys.readouterr().err
     if mentions is None:
         assert code == 0 and err == ""
     else:
-        assert code == 2
-        assert err.startswith("error:") and mentions in err and "Traceback" not in err
+        assert code == 2 and mentions in err.splitlines()[-1] and "Traceback" not in err
+        # argparse prints its usage line before the error
+        assert err.startswith("usage:" if rejected else "error:")

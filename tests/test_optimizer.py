@@ -154,13 +154,14 @@ def test_noncentered_never_exceeds_centered(line3, linear_gauge):
     assert wn.value <= w.value + 1e-9
 
 
-def test_node_budget_exhaustive_fallback(five_cycle, unit_constant):
+def test_node_budget_brackets_the_five_cycle(five_cycle, unit_constant):
+    # the root LP (5/3) cannot prune the greedy incumbent, so the first
+    # child trips the budget; the bracket holds the optimum 2
     space, measure = five_cycle
     inst = build_cover_instance(space, measure, 0.0, unit_constant, space.point_ids, 1.0)
-    assert len(inst.candidates) <= 20
-    sol = solve_integer(inst, node_limit=1)
-    assert sol.value == pytest.approx(2.0, abs=1e-12)
-    assert sol.status == "optimal"
+    with pytest.raises(CandidateLimitExceeded) as exc:
+        solve_integer(inst, node_limit=1)
+    assert exc.value.lower <= 2.0 <= exc.value.upper
 
 
 def test_node_budget_reports_bounds():

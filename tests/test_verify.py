@@ -1,6 +1,6 @@
 import pytest
 
-from fracmeasure import SOLVER_TOL, SUITE_NAMES, run_suite
+from fracmeasure import CHECK_TOL, SOLVER_TOL, SUITE_NAMES, run_suite
 from fracmeasure.errors import SuiteUnknown
 
 
@@ -43,26 +43,13 @@ def test_suite_reports_are_deterministic():
     assert a.violations == b.violations
 
 
-_FIXED_TOLERANCE_SUITES = {
-    "wh-order",
-    "subadd",
-    "zero-infinite",
-    "noncentered",
-    "hxh",
-    "density",
-    "vitali",
-    "besicovitch",
-    "lemma-8c",
-}
+_CHECK_TOL_SUITES = {"product-w", "sandwich", "example-zero"}
 
 
-@pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "example-zero"])
+@pytest.mark.parametrize("name", SUITE_NAMES)
 def test_reports_state_the_tolerance_each_relation_applied(name):
-    report = run_suite(name, count=2, seed=5, check_tol=3e-8)
+    report = run_suite(name, count=2, seed=5)
     assert report.tolerances
-    assert report.applies_check_tol == (name not in _FIXED_TOLERANCE_SUITES)
-    for tol in report.tolerances:
-        if tol.configured:
-            assert tol.tol == 3e-8
-        else:
-            assert tol.tol in (SOLVER_TOL, 0.0)
+    applied = {tol.tol for tol in report.tolerances}
+    assert applied <= {CHECK_TOL, SOLVER_TOL, 0.0}
+    assert (CHECK_TOL in applied) == (name in _CHECK_TOL_SUITES)
