@@ -26,6 +26,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import starmap
 
 from .covering import besicovitch_families, vitali_5r_packing
 from .diagnostics import (
@@ -37,13 +38,9 @@ from .errors import ConfigParseError, FracmeasureError
 from .generators import cantor_net, cycle_metric, random_cloud, uniform_grid
 from .instance_io import read_instance, read_json_object, write_instance
 from .metric import Ball, uniform_measure
-from .optimizer import (
-    hausdorff_premeasure,
-    noncentered_weighted_premeasure,
-    weighted_premeasure,
-)
+from .optimizer import hausdorff_premeasure, weighted_premeasure
 from .premeasure import HausdorffFunction, Premeasure, hxh_premeasure
-from .verify import SUITE_NAMES, run_suite
+from .verify import FIXED_SUITES, SUITE_NAMES, run_suite
 
 CSV_COLUMNS = (
     "instance_id",
@@ -58,6 +55,7 @@ CSV_COLUMNS = (
 )
 
 _DEFAULT_Q_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)
+_FAMILIES = ("H", "W", "Wtilde")
 
 
 def _fmt(x) -> str:
@@ -120,26 +118,31 @@ def premeasure_from_json(doc, measure) -> Premeasure:
     raise ConfigParseError(f"unknown premeasure kind {kind!r}")
 
 
-def _compute_rows(instance_path: str, premeasure_doc, q: float, delta: float, families):
+def _load(instance_path: str, premeasure_doc):
+    """The validated instance and its premeasure: (space, measure, xi)."""
     space, measure = read_instance(instance_path)
-    xi = premeasure_from_json(premeasure_doc, measure)
+    return space, measure, premeasure_from_json(premeasure_doc, measure)
+
+
+def _compute_rows(instance_id, space, measure, xi, q: float, delta: float, families=_FAMILIES):
     target = space.point_ids
+    weighted = None
     rows = []
     for fam in families:
         t0 = time.perf_counter()
         if fam == "H":
             sol = hausdorff_premeasure(space, measure, q, xi, target, delta)
             gap, nodes = None, sol.nodes
-        elif fam == "W":
-            sol = weighted_premeasure(space, measure, q, xi, target, delta)
-            gap, nodes = sol.gap, None
         else:
-            sol = noncentered_weighted_premeasure(space, measure, q, xi, target, delta)
+            # The target is the whole space, so free centres add no candidate: Wtilde = W.
+            if weighted is None:
+                weighted = weighted_premeasure(space, measure, q, xi, target, delta)
+            sol = weighted
             gap, nodes = sol.gap, None
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             {
-                "instance_id": instance_path,
+                "instance_id": instance_id,
                 "q": q,
                 "delta": delta,
                 "family": fam,
@@ -192,10 +195,9 @@ def _parse_premeasure_arg(text: str):
 
 
 def _cmd_compute(args) -> int:
-    doc = _parse_premeasure_arg(args.premeasure)
-    families = ("H", "W", "Wtilde") if args.family == "all" else (args.family,)
-    rows = _compute_rows(args.instance, doc, args.q, args.delta, families)
-    _write_csv(rows, args.out)
+    loaded = _load(args.instance, _parse_premeasure_arg(args.premeasure))
+    families = _FAMILIES if args.family == "all" else (args.family,)
+    _write_csv(_compute_rows(args.instance, *loaded, args.q, args.delta, families), args.out)
     return 0
 
 
@@ -221,39 +223,37 @@ def _strings(values, what: str) -> list[str]:
 
 def _count(value, what: str) -> int:
     """A suite case count; a run that checks no case must not pass."""
-    count = _number(int, value, what)
-    if count < 1:
-        raise ConfigParseError(f"{what} must be at least 1, got {count}")
-    return count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigParseError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigParseError(f"{what} must be at least 1, got {value}")
+    return value
 
 
-def _sweep_task(task):
-    instance_path, premeasure_doc, q, delta = task
-    return _compute_rows(instance_path, premeasure_doc, q, delta, ("H", "W", "Wtilde"))
+def _reject_extra(keys, allowed, message: str) -> None:
+    extra = sorted(set(keys) - set(allowed))
+    if extra:
+        raise ConfigParseError(f"{message}: {', '.join(extra)}")
 
 
 def _cmd_sweep(args) -> int:
     config = read_json_object(args.config, "config")
+    keys = {"instances", "premeasure", "q_grid", "delta_grid"}
+    _reject_extra(config, keys, "unknown sweep config key(s)")
     try:
         instances = _strings(config["instances"], "instances")
         premeasure_doc = config["premeasure"]
+        delta_grid = _numbers(config["delta_grid"], "delta_grid")
     except KeyError as exc:
         raise ConfigParseError(f"config missing key {exc}") from exc
     q_grid = _numbers(config.get("q_grid", _DEFAULT_Q_GRID), "q_grid")
-    if "delta_grid" not in config:
-        raise ConfigParseError("config must list a delta_grid")
-    delta_grid = _numbers(config["delta_grid"], "delta_grid")
-    tasks = [
-        (path, premeasure_doc, q, delta)
-        for path in instances
-        for q in q_grid
-        for delta in delta_grid
-    ]
+    loaded = [(path, *_load(path, premeasure_doc)) for path in instances]
+    tasks = [(*inst, q, delta) for inst in loaded for q in q_grid for delta in delta_grid]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_sweep_task, tasks))
+            chunks = list(pool.map(_compute_rows, *zip(*tasks)))
     else:
-        chunks = [_sweep_task(t) for t in tasks]
+        chunks = list(starmap(_compute_rows, tasks))
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["instance_id"], r["q"], r["delta"], r["family"]))
     _write_csv(rows, args.out)
@@ -263,26 +263,25 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.config:
         config = read_json_object(args.config, "config")
-        unknown = sorted(set(config) - {"suites", "seed", "counts"})
-        if unknown:
-            raise ConfigParseError(f"unknown verify config key(s): {', '.join(unknown)}")
+        _reject_extra(config, {"suites", "seed", "counts"}, "unknown verify config key(s)")
         names = _strings(config.get("suites", list(SUITE_NAMES)), "suites")
         seed = _number(int, config.get("seed", args.seed), "seed")
         counts = config.get("counts", {})
         if not isinstance(counts, dict):
             raise ConfigParseError(f"config counts must be an object, got {counts!r}")
+        _reject_extra(counts, names, "counts given for suite(s) not run")
         counts = {name: _count(c, f"counts.{name}") for name, c in counts.items()}
     else:
-        names = list(SUITE_NAMES) if args.suites == "all" else args.suites.split(",")
+        names = SUITE_NAMES if args.suites == "all" else [n.strip() for n in args.suites.split(",")]
         seed = args.seed
         counts = {}
         if args.count is not None:
             count = _count(args.count, "--count")
-            counts = {name: count for name in names}
+            counts = {name: count for name in names if name not in FIXED_SUITES}
     failed = False
     reports = []
     for name in names:
-        report = run_suite(name.strip(), count=counts.get(name.strip()), seed=seed)
+        report = run_suite(name, count=counts.get(name), seed=seed)
         reports.append(report)
         state = "PASS" if report.passed else "FAIL"
         print(f"{report.name}: {state} ({report.cases} cases)")
@@ -397,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suites", default="all", help="comma list or 'all'")
     ver.add_argument("--config", default=None)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--count", type=int, default=None, help="override case count")
+    ver.add_argument("--count", type=int, default=None, help="case count (not for example-zero)")
     ver.add_argument("--out", default=None, help="write a JSON report")
     ver.set_defaults(fn=_cmd_verify)
 

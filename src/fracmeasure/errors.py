@@ -8,6 +8,7 @@ matrix reports every defect at once instead of the first one hit.
 
 from __future__ import annotations
 
+import copyreg
 import math
 
 __all__ = [
@@ -40,6 +41,12 @@ __all__ = [
 
 class FracmeasureError(Exception):
     """Base class for all library-specific errors."""
+
+    def __reduce__(self):
+        # Subclass __init__ signatures differ from ``args``; restore
+        # ``args`` and the attributes without calling __init__, so an
+        # error raised in a worker process unpickles intact.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidInput(FracmeasureError, ValueError):

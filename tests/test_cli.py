@@ -1,9 +1,21 @@
 import csv
 import json
+import pickle
 
 import pytest
 
-from fracmeasure.cli import main
+from fracmeasure import cli
+from fracmeasure.cli import main, premeasure_from_json
+from fracmeasure.errors import (
+    CandidateLimitExceeded,
+    DeltaBelowResolution,
+    MissingInstance,
+    NumericalFailure,
+    SpaceValidationError,
+    TriangleViolation,
+)
+from fracmeasure.instance_io import read_instance
+from fracmeasure.optimizer import noncentered_weighted_premeasure
 
 
 def _read_csv(path):
@@ -100,10 +112,108 @@ def test_sweep_deterministic_order(tmp_path):
     assert strip(rows1) == strip(rows2)
 
 
+_POWER = {"kind": "hausdorff", "h": {"kind": "power", "s": 0.6309297535714574}}
+
+
+def test_sweep_reads_each_instance_once_and_reports_wtilde_from_w(tmp_path, monkeypatch, capsys):
+    # compute and sweep take the whole space as the target, where free
+    # centres add no candidate: their Wtilde row is the W solve, and must
+    # equal the non-centered value itself bit for bit.
+    paths = [str(tmp_path / name) for name in ("net.json", "cloud.json", "cycle.json")]
+    main(["gen", "--kind", "cantor", "--level", "3", "--out", paths[0]])
+    main(["gen", "--kind", "cloud", "--n", "10", "--dim", "2", "--seed", "7", "--out", paths[1]])
+    main(["gen", "--kind", "cycle", "--n", "6", "--out", paths[2]])
+    cfg = tmp_path / "config.json"
+    q_grid, delta_grid = [-1.0, 0.0, 1.0], [1.0, 0.5]
+    cfg.write_text(
+        json.dumps(
+            {"instances": paths, "premeasure": _POWER, "q_grid": q_grid, "delta_grid": delta_grid}
+        )
+    )
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_instance(path)
+
+    monkeypatch.setattr(cli, "read_instance", counting_read)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert reads == paths
+    rows = {
+        (r["instance_id"], float(r["q"]), float(r["delta"]), r["family"]): r
+        for r in _read_csv(out)
+    }
+    assert len(rows) == 3 * 3 * 2 * 3
+    for path in paths:
+        space, measure = read_instance(path)
+        xi = premeasure_from_json(_POWER, measure)
+        for q in q_grid:
+            for delta in delta_grid:
+                free = noncentered_weighted_premeasure(
+                    space, measure, q, xi, space.point_ids, delta
+                )
+                assert float(rows[(path, q, delta, "Wtilde")]["value"]) == free.value
+
+    for path in paths:
+        capsys.readouterr()
+        argv = ["compute", "--instance", path, "--premeasure", json.dumps(_POWER),
+                "--q", "0", "--delta", "0.5", "--family"]
+        assert main([*argv, "Wtilde"]) == 0
+        wtilde = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert main([*argv, "W"]) == 0
+        (w,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert [r["family"] for r in wtilde] == ["Wtilde"]
+        same = lambda row: {k: v for k, v in row.items() if k not in ("family", "wall_ms")}
+        assert same(wtilde[0]) == same(w)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        DeltaBelowResolution(1e-9, 0.5),
+        NumericalFailure(1.0, 2.0, "gap"),
+        NumericalFailure(float("nan"), float("nan"), "no solution"),
+        CandidateLimitExceeded(1.0, 2.0, 3000),
+        SpaceValidationError([TriangleViolation(0, 1, 2)]),
+        MissingInstance("inst.json"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_errors_survive_pickling(error):
+    # Errors raised in a sweep worker reach the parent through pickle.
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert back.args == error.args
+    plain = lambda exc: {k: str(v) for k, v in vars(exc).items()}  # NaN != NaN; nested errors
+    assert plain(back) == plain(error)
+
+
+def test_sweep_worker_error_exits_2_without_traceback(tmp_path, capsys):
+    inst = tmp_path / "net.json"
+    main(["gen", "--kind", "cantor", "--level", "3", "--out", str(inst)])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps(
+            {"instances": [str(inst)], "premeasure": _POWER, "q_grid": [0.0],
+             "delta_grid": [1e-9, 0.5]}
+        )
+    )
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta 1e-09 is below the resolution floor")
+    assert "Traceback" not in err
+
+
 def test_verify_exit_codes(capsys):
-    assert main(["verify", "--suites", "wh-order", "--count", "3", "--seed", "1"]) == 0
+    # --count sizes the corpus suites; the example-zero chain keeps its 10 cases.
+    argv = ["verify", "--suites", "wh-order,example-zero", "--count", "3", "--seed", "1"]
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    assert "wh-order: PASS" in captured.out
+    assert "wh-order: PASS (4 cases)" in captured.out
+    assert "example-zero: PASS (10 cases)" in captured.out
     assert "tolerance 1e-09: W <= H + tol" in captured.out
 
 
@@ -268,6 +378,7 @@ _CONSTANT = '{"kind": "constant", "c": 1}'
         ("sweep", {"instances": 3}, "instances"),
         ("sweep", {"instances": [3]}, "instances"),
         ("sweep", b'{"instances": ["\xff"]}', "config"),
+        ("sweep", {"q_gird": [0.0]}, "q_gird"),
         ("verify", {}, None),
         ("verify", {"seed": "abc"}, "seed"),
         ("verify", {"seed": float("inf")}, "seed"),
@@ -275,6 +386,11 @@ _CONSTANT = '{"kind": "constant", "c": 1}'
         ("verify", {"suites": 3}, "suites"),
         ("verify", {"counts": {"wh-order": "abc"}}, "counts.wh-order"),
         ("verify", {"counts": {"wh-order": 0}}, "counts.wh-order"),
+        ("verify", {"counts": {"wh-order": 2.7}}, "counts.wh-order"),
+        ("verify", {"counts": {"wh-order": True}}, "counts.wh-order"),
+        ("verify", {"counts": {"wh-order": "3"}}, "counts.wh-order"),
+        ("verify", {"counts": {"nope": 2}}, "nope"),
+        ("verify", {"suites": ["example-zero"], "counts": {"example-zero": 1}}, "example-zero"),
         ("verify", b'{"suites": ["\xff"]}', "config"),
         ("instance", {"measure": {"a": "x", "b": 0.5}}, "'x'"),
         ("instance", {"measure": [0.5, 0.5]}, "measure"),
@@ -291,8 +407,11 @@ _CONSTANT = '{"kind": "constant", "c": 1}'
     ids=[
         "sweep-valid", "q_grid-string", "delta_grid-scalar",
         "instances-string", "instances-number", "instances-number-list", "sweep-config-bytes",
+        "sweep-unknown-key",
         "verify-valid", "seed-string", "seed-inf", "tolerances-key",
-        "suites-scalar", "count-string", "count-zero", "verify-config-bytes",
+        "suites-scalar", "count-string", "count-zero",
+        "count-float", "count-bool", "count-numeric-string", "count-suite-not-run",
+        "count-fixed-chain", "verify-config-bytes",
         "mass-string", "measure-list", "epsilon_net-string", "dist-string",
         "instance-number", "instance-bytes",
         "instance-directory", "count-arg-negative", "count-arg-zero", "tolerance-arg",
