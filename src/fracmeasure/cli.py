@@ -169,6 +169,7 @@ def _write_csv(rows, out_path: str | None):
 
 
 def _cmd_gen(args) -> int:
+    _integer(args.seed, "--seed", 0)
     if args.kind == "cantor":
         space, measure = cantor_net(args.level, args.ratio, args.p)
     elif args.kind == "cycle":
@@ -221,12 +222,12 @@ def _strings(values, what: str) -> list[str]:
     return values
 
 
-def _count(value, what: str) -> int:
-    """A suite case count; a run that checks no case must not pass."""
+def _integer(value, what: str, least: int) -> int:
+    """A count or seed: an int, not a bool, of at least ``least``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigParseError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigParseError(f"{what} must be at least 1, got {value}")
+    if value < least:
+        raise ConfigParseError(f"{what} must be at least {least}, got {value}")
     return value
 
 
@@ -265,18 +266,19 @@ def _cmd_verify(args) -> int:
         config = read_json_object(args.config, "config")
         _reject_extra(config, {"suites", "seed", "counts"}, "unknown verify config key(s)")
         names = _strings(config.get("suites", list(SUITE_NAMES)), "suites")
-        seed = _number(int, config.get("seed", args.seed), "seed")
+        seed = _integer(config.get("seed", args.seed), "config seed", 0)
         counts = config.get("counts", {})
         if not isinstance(counts, dict):
             raise ConfigParseError(f"config counts must be an object, got {counts!r}")
         _reject_extra(counts, names, "counts given for suite(s) not run")
-        counts = {name: _count(c, f"counts.{name}") for name, c in counts.items()}
+        # A run that checks no case must not pass.
+        counts = {name: _integer(c, f"counts.{name}", 1) for name, c in counts.items()}
     else:
         names = SUITE_NAMES if args.suites == "all" else [n.strip() for n in args.suites.split(",")]
-        seed = args.seed
+        seed = _integer(args.seed, "--seed", 0)
         counts = {}
         if args.count is not None:
-            count = _count(args.count, "--count")
+            count = _integer(args.count, "--count", 1)
             counts = {name: count for name in names if name not in FIXED_SUITES}
     failed = False
     reports = []

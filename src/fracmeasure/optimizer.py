@@ -20,6 +20,26 @@ candidates on the target and a cost array, built from one stable
 argsort per center row (``metric.ball_grid``), or, on products, from
 the Kronecker product of the factor incidences.
 
+Before either solve, one lossless set-cover reduction (``_reduce``; Beasley
+1987, Caprara, Fischetti & Toth 2000) shrinks the incidence of the
+finite-cost columns on the points still to cover, by three exact rules
+run until no row drops: of columns with identical member sets only the
+cheapest stays (ties to the lowest index); a column inside another kept
+column of equal or lower cost goes; a row whose candidate set contains
+another row's goes, since covering that row covers it (of two equal
+rows the lower index stays).  Identical sets are found by hashing and
+then compared member by member, and containment is tested only against
+the columns (or rows) that hold the rarest element, in bounded chunks.
+The LP and the branch and bound run on the reduced problem; weights and
+choices map back to the public candidates, a dropped column gets weight
+0 and a dropped row dual 0.  The fractional certificate is still checked
+on the whole finite-cost instance, which stays valid because a dropped
+column j inside a kept i has load(j) <= load(i) <= c_i <= c_j.  The size
+rule: instances with fewer than ``_REDUCE_MIN_COLS`` (64) finite-cost
+columns (positive-cost columns still needed, for the integer search)
+are solved as given, because their LPs are tiny and the reduction's
+fixed cost would not pay off.
+
 Every covering LP (the fractional optimum and each node bound of the
 integer search) goes through ``_covering_lp``, one direct call into
 scipy's bundled HiGHS bindings with the options linprog passes, so each
@@ -280,20 +300,195 @@ class _Incidence(NamedTuple):
     row_of: np.ndarray
 
 
-def _incidence(instance: CoverInstance, cols: np.ndarray) -> _Incidence:
-    """The target incidence of the candidates ``cols``, as columns in that order."""
-    m = len(instance.target)
-    starts = instance.indptr[cols]
-    counts = instance.indptr[cols + 1] - starts
-    col_rows = take_segments(instance.indices, starts, counts)
+def _incidence(
+    indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray, rows: np.ndarray
+) -> _Incidence:
+    """The incidence of the columns ``cols`` of a CSR matrix on the rows marked in ``rows``.
+
+    Column ``j`` holds the rows ``indices[indptr[j]:indptr[j + 1]]``.  The
+    result has the columns ``cols`` in that order and the marked rows,
+    renumbered in ascending order.
+    """
+    starts = indptr[cols]
+    counts = indptr[cols + 1] - starts
+    col_rows = take_segments(indices, starts, counts)
+    if not rows.all():
+        keep = rows[col_rows]
+        owner = np.repeat(np.arange(len(cols)), counts)[keep]
+        counts = np.bincount(owner, minlength=len(cols))
+        col_rows = (np.cumsum(rows) - 1)[col_rows[keep]]
     by_row = np.argsort(col_rows, kind="stable")
     return _Incidence(
         col_ptr=csr_offsets(counts),
         col_rows=col_rows,
-        row_ptr=csr_offsets(np.bincount(col_rows, minlength=m)),
+        row_ptr=csr_offsets(np.bincount(col_rows, minlength=int(np.count_nonzero(rows)))),
         row_cols=np.repeat(np.arange(len(cols)), counts)[by_row],
         row_of=col_rows[by_row],
     )
+
+
+# --- lossless reduction -------------------------------------------------
+
+# Instances with fewer finite-cost columns than this are solved as given:
+# their LPs are tiny, and the reduction's fixed cost would not pay off.
+_REDUCE_MIN_COLS = 64
+# Candidate pairs, or member entries, that the containment test holds at once.
+_CHUNK = 1 << 14
+
+
+def _element_keys(n: int) -> np.ndarray:
+    """One pseudo-random 64-bit key per element ``0..n-1`` (the splitmix64 finalizer)."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _set_keys(member: np.ndarray, ptr: np.ndarray, n_elems: int) -> np.ndarray:
+    """One 64-bit key per set: the wrapping sum of its elements' keys.
+
+    Set ``s`` holds ``member[ptr[s]:ptr[s + 1]]``.  Equal sets get equal
+    keys; distinct sets may too, so a key only buckets.
+    """
+    total = np.zeros(len(member) + 1, dtype=np.uint64)
+    np.cumsum(_element_keys(n_elems)[member], out=total[1:])
+    return total[ptr[1:]] - total[ptr[:-1]]
+
+
+def _chunks(weight: np.ndarray, limit: int):
+    """Consecutive ranges ``[start, stop)`` of weight at most ``limit``, or of one item."""
+    total = np.cumsum(weight)
+    start = 0
+    while start < len(weight):
+        base = total[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(total, base + limit, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _identical(owner, member, n_sets, n_elems, sets, cost) -> np.ndarray:
+    """Mask of the sets among ``sets`` equal to a cheaper one, or an equal-cost one of lower index.
+
+    The entries ``(owner, member)`` are sorted by owner, then member, so
+    equal sets have equal member runs.  Sets are bucketed by their key
+    and size, and each is compared member by member with the cheapest
+    set of its bucket before it is merged into it; sets that differ from
+    it form the buckets of the next round.
+    """
+    size = np.bincount(owner, minlength=n_sets)
+    ptr = csr_offsets(size)
+    key = _set_keys(member, ptr, n_elems)
+    merged = np.zeros(n_sets, dtype=bool)
+    pending = sets
+    while len(pending) > 1:
+        s = pending[np.lexsort((pending, cost[pending], size[pending], key[pending]))]
+        head = np.ones(len(s), dtype=bool)
+        head[1:] = (key[s[1:]] != key[s[:-1]]) | (size[s[1:]] != size[s[:-1]])
+        rep = s[np.flatnonzero(head)[np.cumsum(head) - 1]]
+        a, b = s[~head], rep[~head]
+        differ = take_segments(member, ptr[a], size[a]) != take_segments(member, ptr[b], size[a])
+        bad = np.bincount(np.repeat(np.arange(len(a)), size[a])[differ], minlength=len(a)) > 0
+        merged[a[~bad]] = True
+        pending = a[bad]
+    return merged
+
+
+def _inside(owner, member, holder, n_sets, n_elems, admissible):
+    """Masks of the sets ``a`` and ``b`` in pairs with ``a`` inside ``b`` and ``admissible(a, b)``.
+
+    Set ``s`` holds elements in ``0..n_elems-1``.  The entries
+    ``(owner, member)`` are sorted by owner, then member; ``holder``
+    holds the owners of the same entries sorted by member, then owner.
+    ``admissible`` maps index arrays to a mask and must reject
+    ``a == b``.  A set holding ``a`` holds its rarest element, so only the
+    holders of that element are tried, a bounded chunk at a time: first
+    by a 64-bit signature of each set, which is the set itself when
+    there are at most 64 elements, then, if there are more, member by
+    member.
+    """
+    size = np.bincount(owner, minlength=n_sets)
+    ptr = csr_offsets(size)
+    deg = np.bincount(member, minlength=n_elems)
+    hold_ptr = csr_offsets(deg)
+    sets = np.flatnonzero(size)
+    starts = ptr[sets]
+    rare = np.minimum.reduceat(deg[member] * n_elems + member, starts) % n_elems
+    bits = np.left_shift(np.uint64(1), (member % 64).astype(np.uint64))
+    sig = np.zeros(n_sets, dtype=np.uint64)
+    sig[sets] = np.bitwise_or.reduceat(bits, starts)
+    keys = owner * n_elems + member  # ascending
+    count = deg[rare]
+    inner, outer = np.zeros(n_sets, dtype=bool), np.zeros(n_sets, dtype=bool)
+    for lo, hi in _chunks(count, _CHUNK):
+        a = np.repeat(sets[lo:hi], count[lo:hi])
+        b = take_segments(holder, hold_ptr[rare[lo:hi]], count[lo:hi])
+        ok = admissible(a, b)
+        ok[ok] = (sig[a[ok]] & ~sig[b[ok]]) == 0
+        a, b = a[ok], b[ok]
+        if n_elems <= 64:
+            inner[a], outer[b] = True, True
+            continue
+        for lo2, hi2 in _chunks(size[a], _CHUNK):
+            pa, pb = a[lo2:hi2], b[lo2:hi2]
+            probe = take_segments(member, ptr[pa], size[pa]) + np.repeat(pb * n_elems, size[pa])
+            at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+            missing = np.repeat(np.arange(len(pa)), size[pa])[keys[at] != probe]
+            inside = np.bincount(missing, minlength=len(pa)) == 0
+            inner[pa[inside]], outer[pb[inside]] = True, True
+    return inner, outer
+
+
+def _live(a: np.ndarray, b: np.ndarray, a_kept: np.ndarray, b_kept: np.ndarray):
+    """The entries ``(a, b)`` whose ``a`` and ``b`` are both kept."""
+    keep = a_kept[a] & b_kept[b]
+    return a[keep], b[keep]
+
+
+def _reduce(inc: _Incidence, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lossless set-cover reduction: the kept columns, ascending, and a kept-row mask.
+
+    Every row of ``inc`` is to be covered.  Three exact rules run until
+    no row drops:
+
+    * of columns with identical row sets, only the cheapest is kept
+      (ties to the lowest index);
+    * a column whose rows lie inside another kept column's, at equal or
+      lower cost, is dropped;
+    * a row whose column set contains another row's is dropped (of two
+      equal rows, the lower index is kept), since covering that row
+      covers it.
+
+    A column's rows are those still kept, and a row's columns those
+    still kept.  An optimum of the kept problem, integer or fractional,
+    covers every row and is an optimum of the whole one.
+    """
+    n, m = len(cost), len(inc.row_ptr) - 1
+    by_col = np.argsort(inc.row_cols, kind="stable")
+    col, col_row = inc.row_cols[by_col], inc.row_of[by_col]  # sorted by (column, row)
+    row, row_col = inc.row_of, inc.row_cols  # sorted by (row, column)
+    cols, rows = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    while True:
+        cols &= ~_identical(col, col_row, n, m, np.flatnonzero(cols), cost)
+        col, col_row = _live(col, col_row, cols, rows)
+        row, row_col = _live(row, row_col, rows, cols)
+        size = np.bincount(col, minlength=n)
+        dominated, _ = _inside(
+            col, (np.cumsum(rows) - 1)[col_row], row_col, n, int(rows.sum()),
+            lambda a, b: (size[b] > size[a]) & (cost[b] <= cost[a]),
+        )
+        cols &= ~dominated
+        col, col_row = _live(col, col_row, cols, rows)
+        row, row_col = _live(row, row_col, rows, cols)
+        size = np.bincount(row, minlength=m)
+        _, covering = _inside(
+            row, (np.cumsum(cols) - 1)[row_col], col_row, m, int(cols.sum()),
+            lambda a, b: (size[b] > size[a]) | ((size[b] == size[a]) & (a < b)),
+        )
+        if not covering.any():
+            return np.flatnonzero(cols), rows
+        rows &= ~covering
+        col, col_row = _live(col, col_row, cols, rows)
+        row, row_col = _live(row, row_col, rows, cols)
 
 
 # --- shared LP core -----------------------------------------------------
@@ -376,9 +571,13 @@ linprog = _covering_lp
 def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     """Weighted covering optimum with a verified dual certificate.
 
-    The returned dual is feasible (column sums below cost plus 1e-9) and
-    closes the gap to within 1e-9 * max(1, value); anything worse raises
-    NumericalFailure with the primal/dual bracket.
+    The LP is solved on the reduced instance (module docstring), so the
+    weights may be a different tied optimum than the unreduced LP's:
+    columns the reduction drops get weight 0 and rows it drops dual 0.
+    The returned weights cover every target point and the dual is
+    feasible (column sums below cost plus 1e-9) on the whole finite-cost
+    instance, and it closes the gap to within 1e-9 * max(1, value);
+    anything worse raises NumericalFailure with the primal/dual bracket.
     """
     m = len(instance.target)
     n = len(instance.costs)
@@ -387,7 +586,7 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
             weights=(), value=0.0, dual={}, gap=0.0, status="optimal"
         )
     cols = np.flatnonzero(np.isfinite(instance.costs))
-    inc = _incidence(instance, cols)
+    inc = _incidence(instance.indptr, instance.indices, cols, np.ones(m, dtype=bool))
     if not np.all(np.diff(inc.row_ptr)):  # a point no finite-cost candidate covers
         return FractionalCoverSolution(
             weights=(0.0,) * n,
@@ -397,14 +596,21 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
             status="infeasible-infinite",
         )
     costs = instance.costs[cols]
-    out = linprog(costs, inc.row_ptr, inc.row_cols)
+    lp, kept, rows = inc, slice(None), slice(None)
+    if len(cols) >= _REDUCE_MIN_COLS:
+        kept, rows = _reduce(inc, costs)
+        lp = _incidence(inc.col_ptr, inc.col_rows, kept, rows)
+    out = linprog(costs[kept], lp.row_ptr, lp.row_cols)
     if out is None:
         raise NumericalFailure(
             INF, 0.0, "LP reported infeasible although finite-cost candidates cover the target"
         )
     value, x, y = out
+    x_full, y_full = np.zeros(len(cols)), np.zeros(m)
+    x_full[kept], y_full[rows] = x, y
+    x, y = x_full, y_full
 
-    # Certificate checks.
+    # Certificate checks, on the whole finite-cost instance.
     coverage = np.bincount(inc.row_of, weights=x[inc.row_cols], minlength=m)
     if np.any(coverage < 1.0 - SOLVER_TOL):
         raise NumericalFailure(value, float(y.sum()), "primal cover constraint violated")
@@ -457,7 +663,10 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     """Exact minimum-cost cover of the target by candidate members.
 
     The returned value is the plain sum of the chosen costs and exceeds
-    the true optimum by at most ``_PRUNE_REL * max(1, value)``.
+    the true optimum by at most ``_PRUNE_REL * max(1, value)``.  The
+    search runs on the reduced instance (module docstring), so ``chosen``
+    may be a different tied optimum than the unreduced search finds, and
+    ``nodes`` (the CSV ``nodes`` column) can be lower.
     """
     m = len(instance.target)
     if m == 0:
@@ -480,19 +689,26 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
 
     # Columns: finite positive-cost candidates that meet the residual
     # problem, in the global order (descending coverage per unit cost,
-    # ties by candidate index, which is lexicographic (center, radius)).
+    # ties by candidate index, which is lexicographic (center, radius));
+    # rows: the points they still have to cover.
     gain0 = np.bincount(owner[remaining0[instance.indices]], minlength=len(costs))
     act = np.flatnonzero(finite & ~zero & (gain0 > 0))
     order = act[np.argsort(-(gain0[act] / costs[act]), kind="stable")]
+    inc = _incidence(instance.indptr, instance.indices, order, remaining0)
+    if len(order) >= _REDUCE_MIN_COLS:
+        # Reduce, then put the kept columns in the global order of the
+        # reduced problem.
+        kept, rows = _reduce(inc, costs[order])
+        gain = np.bincount(inc.row_cols[rows[inc.row_of]], minlength=len(order))[kept]
+        kept = kept[np.argsort(-(gain / costs[order[kept]]), kind="stable")]
+        inc, order = _incidence(inc.col_ptr, inc.col_rows, kept, rows), order[kept]
+    m = len(inc.row_ptr) - 1
     n = len(order)
     cost = costs[order]
     cost_of = costs.tolist()
-    inc = _incidence(instance, order)
-    filled = np.diff(inc.row_ptr) > 0
-    cheapest = np.zeros(m)
-    cheapest[filled] = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1][filled])
-    cheapest = cheapest.tolist()
-    maxcov = int(gain0[order].max())
+    cheapest = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1]).tolist()
+    maxcov = int(np.diff(inc.col_ptr).max())
+    uncovered = np.ones(m, dtype=bool)  # every row of inc is still to cover
 
     best_val: float = INF
     best_set: list[int] = []
@@ -511,7 +727,7 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             return bound == INF
         return bound >= best_val - _PRUNE_REL * max(1.0, best_val)
 
-    g = _greedy_cover(cost, inc, remaining0)
+    g = _greedy_cover(cost, inc, uncovered)
     if g is None:  # unreachable: coverage was checked above
         raise OptimizerInternalError("greedy failed on a coverable instance")
     record(g)
@@ -600,7 +816,7 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         finally:
             banned[tried] = False
 
-    visit(remaining0, 0.0, [])
+    visit(uncovered, 0.0, [])
     del visit  # the closure refers to itself: free the cycle, and the arrays it holds, now
     chosen = sorted(free + best_set)
     return IntegerCoverSolution(chosen=tuple(chosen), value=best_val, status="optimal", nodes=nodes)

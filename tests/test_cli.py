@@ -382,6 +382,10 @@ _CONSTANT = '{"kind": "constant", "c": 1}'
         ("verify", {}, None),
         ("verify", {"seed": "abc"}, "seed"),
         ("verify", {"seed": float("inf")}, "seed"),
+        ("verify", {"seed": 2.7}, "seed"),
+        ("verify", {"seed": True}, "seed"),
+        ("verify", {"seed": "3"}, "seed"),
+        ("verify", {"seed": -4}, "seed"),
         ("verify", {"tolerances": {"check": 1e-7}}, "tolerances"),
         ("verify", {"suites": 3}, "suites"),
         ("verify", {"counts": {"wh-order": "abc"}}, "counts.wh-order"),
@@ -403,18 +407,22 @@ _CONSTANT = '{"kind": "constant", "c": 1}'
         ("argv", ["verify", "--suites", "subadd", "--count", "-3"], "--count"),
         ("argv", ["verify", "--suites", "product-w", "--count", "0"], "--count"),
         ("argv", ["verify", "--suites", "wh-order", "--tolerance", "1e-6"], "--tolerance"),
+        ("argv", ["verify", "--suites", "wh-order", "--count", "1", "--seed", "-1"], "--seed"),
+        ("argv", ["gen", "--kind", "cloud", "--n", "4", "--seed", "-1", "--out", "TMP"], "--seed"),
     ],
     ids=[
         "sweep-valid", "q_grid-string", "delta_grid-scalar",
         "instances-string", "instances-number", "instances-number-list", "sweep-config-bytes",
         "sweep-unknown-key",
-        "verify-valid", "seed-string", "seed-inf", "tolerances-key",
+        "verify-valid", "seed-string", "seed-inf", "seed-float", "seed-bool",
+        "seed-numeric-string", "seed-negative", "tolerances-key",
         "suites-scalar", "count-string", "count-zero",
         "count-float", "count-bool", "count-numeric-string", "count-suite-not-run",
         "count-fixed-chain", "verify-config-bytes",
         "mass-string", "measure-list", "epsilon_net-string", "dist-string",
         "instance-number", "instance-bytes",
         "instance-directory", "count-arg-negative", "count-arg-zero", "tolerance-arg",
+        "seed-arg-negative", "gen-seed-negative",
     ],
 )
 def test_malformed_config_values_exit_2_without_traceback(

@@ -265,7 +265,8 @@ def test_vectorized_greedy_picks_what_the_bit_mask_greedy_picks():
         old = _old_greedy(order, costs, masks, remaining)
         cols = np.array(order)
         rem = np.array([bool(remaining >> k & 1) for k in range(len(inst.target))])
-        picks = optimizer._greedy_cover(inst.costs[cols], optimizer._incidence(inst, cols), rem)
+        inc = optimizer._incidence(inst.indptr, inst.indices, cols, np.ones(len(rem), dtype=bool))
+        picks = optimizer._greedy_cover(inst.costs[cols], inc, rem)
         assert (None if picks is None else [order[p] for p in picks]) == old
         checked += picks is not None
     assert checked > 50

@@ -37,6 +37,7 @@ from fracmeasure import (
     weighted_premeasure,
 )
 from fracmeasure import optimizer
+from fracmeasure.verify import build_mixed_corpus, build_product_corpus
 
 
 def test_two_point_frozen_values(two_points, linear_gauge):
@@ -245,7 +246,8 @@ def test_oracle_agreement_random_instances():
 # On a line every candidate ball meets the target in a contiguous run, so
 # the incidence matrix is an interval matrix, totally unimodular: the LP
 # optimum is integral and equals the integer optimum.  Branch and bound
-# must then close at the root, taking the LP solution as its incumbent.
+# must then close at the root, taking the LP solution as its incumbent,
+# and both optima equal the shortest cover of the sorted target by runs.
 
 _CANTOR_GAUGE = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))
 
@@ -257,19 +259,59 @@ def _line_space(name):
     return cantor_net(int(name.removeprefix("cantor")))
 
 
-@pytest.mark.parametrize("name", ["cantor3", "cantor4", "cantor5", "cloud1d"])
+def _interval_dp(inst):
+    """Cheapest cover of a 1-D target by runs, by dynamic programming over its sorted points.
+
+    ``cover[k]`` is the least cost of covering the ``k`` leftmost
+    points; a run over positions ``lo..hi`` extends any cover of at
+    least ``lo`` of them to one of ``hi + 1``.
+    """
+    x = inst.space.coords[[inst.space.index_of(p) for p in inst.target], 0]
+    rank = np.empty(len(x), dtype=int)
+    rank[np.argsort(x, kind="stable")] = np.arange(len(x))
+    sizes = np.diff(inst.indptr)
+    use = (sizes > 0) & np.isfinite(inst.costs)
+    pos = rank[inst.indices]
+    lo = np.minimum.reduceat(pos, inst.indptr[:-1][use])
+    hi = np.maximum.reduceat(pos, inst.indptr[:-1][use])
+    assert np.array_equal(hi - lo + 1, sizes[use])  # a ball on a line meets the target in a run
+    cost = inst.costs[use]
+    cover = np.full(len(x) + 1, INF)
+    cover[0] = 0.0
+    for k in range(len(x)):
+        runs = hi == k
+        if runs.any():
+            # A cover of at least lo points costs at least the least cover[j], lo <= j <= k.
+            least = np.minimum.accumulate(cover[k::-1])[::-1]
+            cover[k + 1] = np.min(least[lo[runs]] + cost[runs])
+    return float(cover[-1])
+
+
+def _covers(inst, chosen):
+    """Whether the candidates ``chosen`` cover the whole target."""
+    hit = np.zeros(len(inst.target), dtype=bool)
+    for i in chosen:
+        hit[inst.indices[inst.indptr[i] : inst.indptr[i + 1]]] = True
+    return bool(hit.all())
+
+
+@pytest.mark.parametrize(
+    "name", ["cantor3", "cantor4", "cantor5", "cantor6", "cantor7", "cantor8", "cloud1d"]
+)
 @pytest.mark.parametrize("q", [-1.0, 0.0, 0.5, 1.0, 2.0])
 def test_line_integer_matches_fractional_at_root(name, q):
     space, measure = _line_space(name)
-    target = set(space.point_ids)
     for delta in (0.5, 0.2, 0.1):
         inst = build_cover_instance(space, measure, q, _CANTOR_GAUGE, space.point_ids, delta)
         h = solve_integer(inst)
         w = solve_fractional(inst)
+        exact = _interval_dp(inst)
         assert abs(h.value - w.value) <= SOLVER_TOL
+        assert abs(h.value - exact) <= SOLVER_TOL
+        assert abs(w.value - exact) <= SOLVER_TOL
         assert h.nodes == 1
         # the chosen candidates form a cover, valued by the plain cost sum
-        assert set().union(*(inst.covered[i] for i in h.chosen)) >= target
+        assert _covers(inst, h.chosen)
         assert sum(inst.costs[i] for i in h.chosen) == h.value
 
 
@@ -301,6 +343,160 @@ def test_nonfinite_q_is_rejected(two_points, linear_gauge, solve, q):
     space, measure = two_points
     with pytest.raises(InvalidInput):
         solve(space, measure, q, linear_gauge, space.point_ids, 0.6)
+
+
+# --- the lossless reduction ------------------------------------------------
+
+
+def _reduction_instances():
+    """The mixed and product corpora and level 3-6 nets, as cover instances."""
+    for case in build_mixed_corpus(7, 40, full_support=False):
+        yield build_cover_instance(
+            case.space, case.measure, case.q, case.xi, case.target, case.delta
+        )
+    for case in build_product_corpus(7, 15):
+        yield build_product_cover_instance(
+            product_space(case.left, case.right),
+            product_measure(case.left_measure, case.right_measure),
+            case.q,
+            product_premeasure(case.left_xi, case.right_xi),
+            case.left_target,
+            case.right_target,
+            case.delta,
+        )
+    for level in (3, 4, 5, 6):
+        space, measure = cantor_net(level)
+        for q in (-1.0, 0.0, 1.0, 2.0):
+            for delta in (0.5, 0.2):
+                yield build_cover_instance(
+                    space, measure, q, _CANTOR_GAUGE, space.point_ids, delta
+                )
+
+
+@pytest.fixture(scope="module")
+def reduction_instances():
+    return list(_reduction_instances())
+
+
+def _full_problem(inst):
+    """The finite-cost columns, their costs and their incidence on the whole target."""
+    cols = np.flatnonzero(np.isfinite(inst.costs))
+    rows = np.ones(len(inst.target), dtype=bool)
+    return cols, inst.costs[cols], optimizer._incidence(inst.indptr, inst.indices, cols, rows)
+
+
+def _reduction(inst):
+    _, cost, inc = _full_problem(inst)
+    return optimizer._reduce(inc, cost)
+
+
+def _coverable(inc):
+    return len(inc.row_ptr) > 1 and bool(np.all(np.diff(inc.row_ptr)))
+
+
+def test_reduction_drops_only_dominated_columns_and_rows(reduction_instances):
+    dropped_cols = dropped_rows = 0
+    for inst in reduction_instances:
+        _, cost, inc = _full_problem(inst)
+        if not _coverable(inc):
+            continue
+        kept, rows = optimizer._reduce(inc, cost)
+        cols = np.zeros(len(cost), dtype=bool)
+        cols[kept] = True
+        col_sets = [
+            {r for r in inc.col_rows[inc.col_ptr[j] : inc.col_ptr[j + 1]].tolist() if rows[r]}
+            for j in range(len(cost))
+        ]
+        row_sets = [
+            {j for j in inc.row_cols[inc.row_ptr[r] : inc.row_ptr[r + 1]].tolist() if cols[j]}
+            for r in range(len(rows))
+        ]
+        for j in np.flatnonzero(~cols).tolist():
+            # equal to, or inside, a kept column of equal or lower cost
+            assert any(col_sets[j] <= col_sets[i] and cost[i] <= cost[j] for i in kept.tolist())
+        for r in np.flatnonzero(~rows).tolist():
+            # holds every kept column of some kept row
+            assert any(row_sets[k] <= row_sets[r] for k in np.flatnonzero(rows).tolist())
+        # the reduced LP has the full LP's value
+        full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
+        lp = optimizer._incidence(inc.col_ptr, inc.col_rows, kept, rows)
+        reduced = optimizer._covering_lp(cost[kept], lp.row_ptr, lp.row_cols)[0]
+        assert abs(reduced - full) <= SOLVER_TOL * max(1.0, full)
+        dropped_cols += int((~cols).sum())
+        dropped_rows += int((~rows).sum())
+    assert dropped_cols > 1000 and dropped_rows > 100
+
+
+def test_containment_compares_members_beyond_64_rows():
+    # On 128 rows, rows 1 and 65 share a signature bit, as do 2 and 66:
+    # column 0 = {1, 66} passes the signature test against column
+    # 1 = {2, 65, 66}, which holds its rarest row 66 but not row 1.
+    # Columns 2 and 3 make row 1 the commoner, and every row has a dear
+    # singleton column.
+    members = [[1, 66], [2, 65, 66], [1, 3], [1, 4]] + [[r] for r in range(128)]
+    cost = np.array([1.0, 1.0, 10.0, 10.0] + [10.0] * 128)
+    indptr = np.cumsum([0] + [len(c) for c in members])
+    indices = np.concatenate(members)
+    inc = optimizer._incidence(indptr, indices, np.arange(len(cost)), np.ones(128, dtype=bool))
+    kept, rows = optimizer._reduce(inc, cost)
+    assert 0 in kept and 1 in kept
+    full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
+    lp = optimizer._incidence(inc.col_ptr, inc.col_rows, kept, rows)
+    assert optimizer._covering_lp(cost[kept], lp.row_ptr, lp.row_cols)[0] == pytest.approx(full)
+
+
+def _check_reduced_solves(inst, plain_h):
+    """H and W of the reduced path against the plain H value and the full instance."""
+    h, w = solve_integer(inst), solve_fractional(inst)
+    if math.isinf(plain_h):
+        assert math.isinf(h.value) and math.isinf(w.value)
+        return
+    assert abs(h.value - plain_h) <= SOLVER_TOL * max(1.0, plain_h)
+    assert _covers(inst, h.chosen)
+    assert sum(inst.costs[i] for i in h.chosen) == h.value
+    cols, cost, inc = _full_problem(inst)
+    full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
+    assert abs(w.value - full) <= SOLVER_TOL * max(1.0, full)
+    # the mapped-back weights and dual are feasible on the full instance
+    x = np.array(w.weights)
+    assert not np.any(x[~np.isfinite(inst.costs)])
+    coverage = np.bincount(inc.row_of, weights=x[cols][inc.row_cols], minlength=len(inst.target))
+    assert np.all(coverage >= 1.0 - SOLVER_TOL)
+    y = np.array([w.dual[p] for p in inst.target])
+    loads = np.bincount(inc.row_cols, weights=y[inc.row_of], minlength=len(cols))
+    assert np.all(loads <= cost + SOLVER_TOL)
+    assert abs(y.sum() - w.value) <= SOLVER_TOL * max(1.0, w.value)
+
+
+@pytest.mark.parametrize("always", [False, True], ids=["size-rule", "always"])
+def test_reduced_solves_cover_and_certify_on_the_full_instance(
+    monkeypatch, reduction_instances, always
+):
+    plain = []
+    with monkeypatch.context() as mp:
+        mp.setattr(optimizer, "_REDUCE_MIN_COLS", 2**62)
+        plain = [solve_integer(inst).value for inst in reduction_instances]
+    if always:
+        monkeypatch.setattr(optimizer, "_REDUCE_MIN_COLS", 0)
+    for inst, plain_h in zip(reduction_instances, plain):
+        _check_reduced_solves(inst, plain_h)
+
+
+def test_reduction_is_exact_when_every_set_key_collides(monkeypatch, reduction_instances):
+    # Distinct sets of one size then share a bucket, and only the member
+    # comparison can tell them apart.
+    insts = [inst for inst in reduction_instances if len(inst.candidates) >= 64]
+    assert len(insts) > 10
+    want = [(solve_integer(inst), solve_fractional(inst)) for inst in insts]
+    reductions = [_reduction(inst) for inst in insts]
+    monkeypatch.setattr(
+        optimizer, "_set_keys", lambda member, ptr, n: np.zeros(len(ptr) - 1, dtype=np.uint64)
+    )
+    for inst, (h, w), (kept, rows) in zip(insts, want, reductions):
+        got_kept, got_rows = _reduction(inst)
+        assert np.array_equal(got_kept, kept) and np.array_equal(got_rows, rows)
+        assert solve_integer(inst) == h
+        assert solve_fractional(inst) == w
 
 
 # --- the LP adapter ---------------------------------------------------------
@@ -339,7 +535,7 @@ def _linprog_reference(costs, row_ptr, row_cols):
 
 def _seeded_instances():
     power = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))
-    for seed in (3, 8):
+    for seed in (3, 8, 13, 21):
         space = random_cloud(14, 2, seed)
         for q in (-1.0, 0.0, 1.0):
             yield build_cover_instance(
@@ -352,6 +548,13 @@ def _seeded_instances():
     space, measure = cantor_net(5)
     for q in (0.0, 2.0):
         yield build_cover_instance(space, measure, q, power, space.point_ids, 0.2)
+    # odd cycles: the root LP sits below H, so the search branches
+    for n in (15, 25):
+        space = cycle_metric(n)
+        yield build_cover_instance(
+            space, uniform_measure(space), 0.0, Premeasure.constant_nonempty(1.0),
+            space.point_ids, 1.0,
+        )
     left, right = random_cloud(4, 1, 5), random_cloud(3, 1, 6)
     prod = product_space(left, right)
     pair = product_measure(uniform_measure(left), uniform_measure(right))
