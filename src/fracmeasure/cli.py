@@ -28,6 +28,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import starmap
 
+# The solvers are looked up on the module at call time, so a wrapper
+# installed there (perfbench/tracer.py) sees every call.
+from . import optimizer
 from .covering import besicovitch_families, vitali_5r_packing
 from .diagnostics import (
     blanketing_ratio,
@@ -38,7 +41,6 @@ from .errors import ConfigParseError, FracmeasureError
 from .generators import cantor_net, cycle_metric, random_cloud, uniform_grid
 from .instance_io import read_instance, read_json_object, write_instance
 from .metric import Ball, uniform_measure
-from .optimizer import hausdorff_premeasure, weighted_premeasure
 from .premeasure import HausdorffFunction, Premeasure, hxh_premeasure
 from .verify import FIXED_SUITES, SUITE_NAMES, run_suite
 
@@ -125,18 +127,23 @@ def _load(instance_path: str, premeasure_doc):
 
 
 def _compute_rows(instance_id, space, measure, xi, q: float, delta: float, families=_FAMILIES):
-    target = space.point_ids
-    weighted = None
+    instance = weighted = None
     rows = []
     for fam in families:
         t0 = time.perf_counter()
+        if instance is None:
+            # One instance per cell: H and W share its reduction and root
+            # LP, and the first row's wall_ms carries their cost.
+            instance = optimizer.build_cover_instance(
+                space, measure, q, xi, space.point_ids, delta
+            )
         if fam == "H":
-            sol = hausdorff_premeasure(space, measure, q, xi, target, delta)
+            sol = optimizer.solve_integer(instance)
             gap, nodes = None, sol.nodes
         else:
             # The target is the whole space, so free centres add no candidate: Wtilde = W.
             if weighted is None:
-                weighted = weighted_premeasure(space, measure, q, xi, target, delta)
+                weighted = optimizer.solve_fractional(instance)
             sol = weighted
             gap, nodes = sol.gap, None
         wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -18,29 +18,42 @@ cost are always safe to take.
 Both solvers read one array-native instance: a CSR incidence of the
 candidates on the target and a cost array, built from one stable
 argsort per center row (``metric.ball_grid``), or, on products, from
-the Kronecker product of the factor incidences.
+the Kronecker product of the factor incidences.  What they share is
+prepared once per instance and cached on it: the residual problem
+(``CoverInstance._residual``) and its covering LP
+(``CoverInstance._root_lp``), so solving H and W on one instance
+builds, reduces and solves that LP once.  The LP is computed when a
+solver first needs it.
+
+The residual problem takes the zero-cost candidates as given: its rows
+are the target points no zero-cost candidate covers, its columns the
+positive finite-cost candidates that meet them.  H is the residual
+optimum plus the zero-cost candidates with members.  W is the residual
+LP optimum plus weight 1 on each of them, with the same value, and its
+dual is 0 on the rows they cover, which keeps it feasible for their
+zero-cost columns.
 
 Before either solve, one lossless set-cover reduction (``_reduce``; Beasley
-1987, Caprara, Fischetti & Toth 2000) shrinks the incidence of the
-finite-cost columns on the points still to cover, by three exact rules
-run until no row drops: of columns with identical member sets only the
-cheapest stays (ties to the lowest index); a column inside another kept
-column of equal or lower cost goes; a row whose candidate set contains
-another row's goes, since covering that row covers it (of two equal
-rows the lower index stays).  Identical sets are found by hashing and
-then compared member by member, and containment is tested only against
-the columns (or rows) that hold the rarest element, in bounded chunks.
-The LP and the branch and bound run on the reduced problem; weights and
-choices map back to the public candidates, a dropped column gets weight
-0 and a dropped row dual 0.  The fractional certificate is still checked
-on the whole finite-cost instance, which stays valid because a dropped
-column j inside a kept i has load(j) <= load(i) <= c_i <= c_j.  The size
-rule: instances with fewer than ``_REDUCE_MIN_COLS`` (64) finite-cost
-columns (positive-cost columns still needed, for the integer search)
-are solved as given, because their LPs are tiny and the reduction's
-fixed cost would not pay off.
+1987, Caprara, Fischetti & Toth 2000) shrinks the residual problem by
+three exact rules run until no row drops: of columns with identical
+member sets only the cheapest stays (ties to the lowest index); a column
+inside another kept column of equal or lower cost goes; a row whose
+candidate set contains another row's goes, since covering that row
+covers it (of two equal rows the lower index stays).  Identical sets
+are found by hashing and then compared member by member, and
+containment is tested only against the columns (or rows) that hold the
+rarest element, in bounded chunks.
+The LP and the branch and bound run on the reduced problem, whose LP is
+the root node of the search; weights and choices map back to the
+public candidates, a dropped column gets weight 0 and a dropped row
+dual 0.  The fractional certificate is still checked on the whole
+finite-cost instance, which stays valid because a dropped column j
+inside a kept i has load(j) <= load(i) <= c_i <= c_j.  The size rule:
+residual problems with fewer than ``_REDUCE_MIN_COLS`` (64) columns are
+solved as given, because their LPs are tiny and the reduction's fixed
+cost would not pay off.
 
-Every covering LP (the fractional optimum and each node bound of the
+Every covering LP (the shared root LP and each later node bound of the
 integer search) goes through ``_covering_lp``, one direct call into
 scipy's bundled HiGHS bindings with the options linprog passes, so each
 result equals linprog's bit for bit.  HiGHS reporting the LP optimal
@@ -171,6 +184,65 @@ class CoverInstance:
             for a, b in zip(bounds, bounds[1:])
         )
 
+    @cached_property
+    def _residual(self) -> _Residual | None:
+        """The reduced residual problem both solvers share (module docstring).
+
+        None when a target point has no finite-cost candidate.
+        """
+        costs, m = self.costs, len(self.target)
+        sizes = np.diff(self.indptr)
+        owner = np.repeat(np.arange(len(costs)), sizes)  # candidate of each incidence entry
+        finite = np.isfinite(costs)
+        zero = costs == 0.0
+        reachable = np.zeros(m, dtype=bool)
+        reachable[self.indices[finite[owner]]] = True
+        if not reachable.all():
+            return None
+        rows = np.ones(m, dtype=bool)
+        rows[self.indices[zero[owner]]] = False
+        # Columns in the global order: descending coverage per unit cost,
+        # ties by candidate index, which is lexicographic (center, radius).
+        gain = np.bincount(owner[rows[self.indices]], minlength=len(costs))
+        act = np.flatnonzero(finite & ~zero & (gain > 0))
+        order = act[np.argsort(-(gain[act] / costs[act]), kind="stable")]
+        del owner  # entry-sized: free it before the incidence is built
+        inc = _incidence(self.indptr, self.indices, order, rows)
+        if len(order) >= _REDUCE_MIN_COLS:
+            # Reduce, then put the kept columns that still meet a row in the
+            # global order of the reduced problem.
+            kept, kept_rows = _reduce(inc, costs[order])
+            gain = np.bincount(inc.row_cols[kept_rows[inc.row_of]], minlength=len(order))[kept]
+            kept, gain = kept[gain > 0], gain[gain > 0]
+            kept = kept[np.argsort(-(gain / costs[order[kept]]), kind="stable")]
+            inc, order = _incidence(inc.col_ptr, inc.col_rows, kept, kept_rows), order[kept]
+            rows[rows] = kept_rows
+        return _Residual(
+            free=np.flatnonzero(zero & (sizes > 0)), rows=np.flatnonzero(rows), order=order, inc=inc
+        )
+
+    @cached_property
+    def _root_lp(self):
+        """The covering LP of ``_residual``: ``linprog``'s (value, x, y), or None if infeasible.
+
+        ``x`` runs over the residual columns in ``order`` and ``y`` over its
+        rows.  The LP is posed with the columns in candidate order, so
+        its solution does not depend on the integer search's order.
+        """
+        res = self._residual
+        if not len(res.rows):
+            return 0.0, np.zeros(0), np.zeros(0)
+        by_index = np.argsort(res.order)
+        all_rows = np.ones(len(res.rows), dtype=bool)
+        lp = _incidence(res.inc.col_ptr, res.inc.col_rows, by_index, all_rows)
+        out = linprog(self.costs[res.order[by_index]], lp.row_ptr, lp.row_cols)
+        if out is None:
+            return None
+        value, x, y = out
+        x_order = np.empty_like(x)
+        x_order[by_index] = x
+        return value, x_order, y
+
 
 @dataclass(frozen=True)
 class IntegerCoverSolution:
@@ -300,6 +372,31 @@ class _Incidence(NamedTuple):
     row_of: np.ndarray
 
 
+class _Residual(NamedTuple):
+    """The covering problem H and W share (``CoverInstance._residual``).
+
+    ``free`` holds the zero-cost candidates with members, ascending.  The
+    rows are the target positions ``rows``, ascending; the columns are
+    the candidates ``order``, in the global order; ``inc`` is their
+    incidence.
+    """
+
+    free: np.ndarray
+    rows: np.ndarray
+    order: np.ndarray
+    inc: _Incidence
+
+
+def _stable_order(ids: np.ndarray, n: int) -> np.ndarray:
+    """The stable sort order of ``ids``, integers in ``0..n-1``.
+
+    The keys are sorted in the smallest unsigned type that holds them:
+    numpy's stable sort of 8- and 16-bit keys is a radix sort, and a
+    stable order does not depend on the key type.
+    """
+    return np.argsort(ids.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+
+
 def _incidence(
     indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray, rows: np.ndarray
 ) -> _Incidence:
@@ -309,19 +406,20 @@ def _incidence(
     result has the columns ``cols`` in that order and the marked rows,
     renumbered in ascending order.
     """
+    m = int(np.count_nonzero(rows))
     starts = indptr[cols]
     counts = indptr[cols + 1] - starts
     col_rows = take_segments(indices, starts, counts)
-    if not rows.all():
+    if m < len(rows):
         keep = rows[col_rows]
         owner = np.repeat(np.arange(len(cols)), counts)[keep]
         counts = np.bincount(owner, minlength=len(cols))
         col_rows = (np.cumsum(rows) - 1)[col_rows[keep]]
-    by_row = np.argsort(col_rows, kind="stable")
+    by_row = _stable_order(col_rows, m)
     return _Incidence(
         col_ptr=csr_offsets(counts),
         col_rows=col_rows,
-        row_ptr=csr_offsets(np.bincount(col_rows, minlength=int(np.count_nonzero(rows)))),
+        row_ptr=csr_offsets(np.bincount(col_rows, minlength=m)),
         row_cols=np.repeat(np.arange(len(cols)), counts)[by_row],
         row_of=col_rows[by_row],
     )
@@ -463,7 +561,7 @@ def _reduce(inc: _Incidence, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     covers every row and is an optimum of the whole one.
     """
     n, m = len(cost), len(inc.row_ptr) - 1
-    by_col = np.argsort(inc.row_cols, kind="stable")
+    by_col = _stable_order(inc.row_cols, n)
     col, col_row = inc.row_cols[by_col], inc.row_of[by_col]  # sorted by (column, row)
     row, row_col = inc.row_of, inc.row_cols  # sorted by (row, column)
     cols, rows = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
@@ -530,7 +628,7 @@ def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
     m, n, nnz = len(row_ptr) - 1, len(costs), len(row_cols)
     # A stable sort by column keeps each column's rows ascending.
     rows = np.repeat(np.arange(m, dtype=np.int32), np.diff(row_ptr))
-    rows = rows[np.argsort(row_cols, kind="stable")]
+    rows = rows[_stable_order(row_cols, n)]
     col_ptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(row_cols, minlength=n), out=col_ptr[1:])
     model = _highs._Highs()
@@ -571,9 +669,11 @@ linprog = _covering_lp
 def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     """Weighted covering optimum with a verified dual certificate.
 
-    The LP is solved on the reduced instance (module docstring), so the
-    weights may be a different tied optimum than the unreduced LP's:
-    columns the reduction drops get weight 0 and rows it drops dual 0.
+    The LP is the residual one that ``solve_integer`` starts from
+    (module docstring): every zero-cost candidate with members gets
+    weight 1, columns the reduction drops get weight 0, and rows that a
+    zero-cost candidate covers or the reduction drops get dual 0, so the
+    weights may be a different tied optimum than the unreduced LP's.
     The returned weights cover every target point and the dual is
     feasible (column sums below cost plus 1e-9) on the whole finite-cost
     instance, and it closes the gap to within 1e-9 * max(1, value);
@@ -585,9 +685,8 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
         return FractionalCoverSolution(
             weights=(), value=0.0, dual={}, gap=0.0, status="optimal"
         )
-    cols = np.flatnonzero(np.isfinite(instance.costs))
-    inc = _incidence(instance.indptr, instance.indices, cols, np.ones(m, dtype=bool))
-    if not np.all(np.diff(inc.row_ptr)):  # a point no finite-cost candidate covers
+    res = instance._residual
+    if res is None:  # a point no finite-cost candidate covers
         return FractionalCoverSolution(
             weights=(0.0,) * n,
             value=INF,
@@ -595,38 +694,33 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
             gap=0.0,
             status="infeasible-infinite",
         )
-    costs = instance.costs[cols]
-    lp, kept, rows = inc, slice(None), slice(None)
-    if len(cols) >= _REDUCE_MIN_COLS:
-        kept, rows = _reduce(inc, costs)
-        lp = _incidence(inc.col_ptr, inc.col_rows, kept, rows)
-    out = linprog(costs[kept], lp.row_ptr, lp.row_cols)
+    out = instance._root_lp
     if out is None:
         raise NumericalFailure(
             INF, 0.0, "LP reported infeasible although finite-cost candidates cover the target"
         )
     value, x, y = out
-    x_full, y_full = np.zeros(len(cols)), np.zeros(m)
-    x_full[kept], y_full[rows] = x, y
-    x, y = x_full, y_full
+    weights, dual = np.zeros(n), np.zeros(m)
+    weights[res.free], weights[res.order], dual[res.rows] = 1.0, x, y
 
     # Certificate checks, on the whole finite-cost instance.
-    coverage = np.bincount(inc.row_of, weights=x[inc.row_cols], minlength=m)
+    costs = instance.costs
+    owner = np.repeat(np.arange(n), np.diff(instance.indptr))
+    coverage = np.bincount(instance.indices, weights=weights[owner], minlength=m)
     if np.any(coverage < 1.0 - SOLVER_TOL):
-        raise NumericalFailure(value, float(y.sum()), "primal cover constraint violated")
-    loads = np.bincount(inc.row_cols, weights=y[inc.row_of], minlength=len(cols))
-    if np.any(loads > costs + SOLVER_TOL):
-        raise NumericalFailure(value, float(y.sum()), "dual feasibility violated")
-    gap = abs(value - float(y.sum()))
+        raise NumericalFailure(value, float(dual.sum()), "primal cover constraint violated")
+    finite = np.isfinite(costs)
+    loads = np.bincount(owner, weights=dual[instance.indices], minlength=n)
+    if np.any(loads[finite] > costs[finite] + SOLVER_TOL):
+        raise NumericalFailure(value, float(dual.sum()), "dual feasibility violated")
+    gap = abs(value - float(dual.sum()))
     if gap > SOLVER_TOL * max(1.0, value):
-        raise NumericalFailure(value, float(y.sum()), "duality gap above tolerance")
+        raise NumericalFailure(value, float(dual.sum()), "duality gap above tolerance")
 
-    weights = np.zeros(n)
-    weights[cols] = x
     return FractionalCoverSolution(
         weights=tuple(weights.tolist()),
         value=value,
-        dual=dict(zip(instance.target, y.tolist())),
+        dual=dict(zip(instance.target, dual.tolist())),
         gap=gap,
         status="optimal",
     )
@@ -664,48 +758,25 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
 
     The returned value is the plain sum of the chosen costs and exceeds
     the true optimum by at most ``_PRUNE_REL * max(1, value)``.  The
-    search runs on the reduced instance (module docstring), so ``chosen``
+    search runs on the reduced residual problem (module docstring), and
+    its root node reads the LP ``solve_fractional`` solves, so ``chosen``
     may be a different tied optimum than the unreduced search finds, and
     ``nodes`` (the CSV ``nodes`` column) can be lower.
     """
-    m = len(instance.target)
-    if m == 0:
+    if not instance.target:
         return IntegerCoverSolution(chosen=(), value=0.0, status="optimal", nodes=0)
-    costs = instance.costs
-    sizes = np.diff(instance.indptr)
-    owner = np.repeat(np.arange(len(costs)), sizes)  # candidate of each incidence entry
-    finite = np.isfinite(costs)
-    zero = costs == 0.0
-
-    reachable = np.zeros(m, dtype=bool)
-    reachable[instance.indices[finite[owner]]] = True
-    if not reachable.all():
+    res = instance._residual
+    if res is None:
         return IntegerCoverSolution(chosen=(), value=INF, status="infeasible-infinite", nodes=0)
-    free = np.flatnonzero(zero & (sizes > 0)).tolist()
-    remaining0 = np.ones(m, dtype=bool)
-    remaining0[instance.indices[zero[owner]]] = False
-    if not remaining0.any():
+    free = res.free.tolist()
+    if not len(res.rows):
         return IntegerCoverSolution(chosen=tuple(free), value=0.0, status="optimal", nodes=0)
 
-    # Columns: finite positive-cost candidates that meet the residual
-    # problem, in the global order (descending coverage per unit cost,
-    # ties by candidate index, which is lexicographic (center, radius));
-    # rows: the points they still have to cover.
-    gain0 = np.bincount(owner[remaining0[instance.indices]], minlength=len(costs))
-    act = np.flatnonzero(finite & ~zero & (gain0 > 0))
-    order = act[np.argsort(-(gain0[act] / costs[act]), kind="stable")]
-    inc = _incidence(instance.indptr, instance.indices, order, remaining0)
-    if len(order) >= _REDUCE_MIN_COLS:
-        # Reduce, then put the kept columns in the global order of the
-        # reduced problem.
-        kept, rows = _reduce(inc, costs[order])
-        gain = np.bincount(inc.row_cols[rows[inc.row_of]], minlength=len(order))[kept]
-        kept = kept[np.argsort(-(gain / costs[order[kept]]), kind="stable")]
-        inc, order = _incidence(inc.col_ptr, inc.col_rows, kept, rows), order[kept]
-    m = len(inc.row_ptr) - 1
+    inc, order = res.inc, res.order
+    m = len(res.rows)
     n = len(order)
-    cost = costs[order]
-    cost_of = costs.tolist()
+    cost = instance.costs[order]
+    cost_of = instance.costs.tolist()
     cheapest = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1]).tolist()
     maxcov = int(np.diff(inc.col_ptr).max())
     uncovered = np.ones(m, dtype=bool)  # every row of inc is still to cover
@@ -741,17 +812,22 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
 
         ``keep`` marks the entries (by rows) of allowed columns on rows
         of ``rem``; ``live`` counts them per row.  The picks are returned
-        only when they cover ``rem``.
+        only when they cover ``rem``.  At the root every column and row
+        is in, so its LP is the instance's shared ``_root_lp``.
         """
-        in_lp = np.zeros(n, dtype=bool)
-        in_lp[inc.row_cols[keep]] = True
-        cols = np.flatnonzero(in_lp)
-        if not cols.size:
-            return INF, None
-        row_ptr = csr_offsets(live[rem])
-        row_cols = (np.cumsum(in_lp) - 1)[inc.row_cols[keep]]
+        if nodes == 1:
+            cols, row_ptr, row_cols = np.arange(n), inc.row_ptr, inc.row_cols
+            out = instance._root_lp
+        else:
+            in_lp = np.zeros(n, dtype=bool)
+            in_lp[inc.row_cols[keep]] = True
+            cols = np.flatnonzero(in_lp)
+            if not cols.size:
+                return INF, None
+            row_ptr = csr_offsets(live[rem])
+            row_cols = (np.cumsum(in_lp) - 1)[inc.row_cols[keep]]
+            out = linprog(cost[cols], row_ptr, row_cols)
         costs_arr = cost[cols]
-        out = linprog(costs_arr, row_ptr, row_cols)
         if out is None:
             return INF, None
         _, x, y = out
@@ -975,8 +1051,8 @@ def delta_profile(
         raise InvalidInput("deltas must be given in descending order")
     rows = []
     for d in ds:
-        h = hausdorff_premeasure(space, measure, q, xi, target, d)
-        w = weighted_premeasure(space, measure, q, xi, target, d)
+        instance = build_cover_instance(space, measure, q, xi, target, d)
+        h, w = solve_integer(instance), solve_fractional(instance)
         wn = noncentered_weighted_premeasure(space, measure, q, xi, target, d)
         rows.append(
             ProfileRow(

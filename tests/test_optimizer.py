@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -445,19 +446,30 @@ def test_containment_compares_members_beyond_64_rows():
     assert optimizer._covering_lp(cost[kept], lp.row_ptr, lp.row_cols)[0] == pytest.approx(full)
 
 
+def _fresh(inst):
+    """A copy of ``inst`` with nothing cached: its solves reduce and solve anew."""
+    return dataclasses.replace(inst)
+
+
 def _check_reduced_solves(inst, plain_h):
     """H and W of the reduced path against the plain H value and the full instance."""
-    h, w = solve_integer(inst), solve_fractional(inst)
+    fresh = _fresh(inst)
+    h, w = solve_integer(fresh), solve_fractional(fresh)
     if math.isinf(plain_h):
         assert math.isinf(h.value) and math.isinf(w.value)
         return
     assert abs(h.value - plain_h) <= SOLVER_TOL * max(1.0, plain_h)
     assert _covers(inst, h.chosen)
     assert sum(inst.costs[i] for i in h.chosen) == h.value
-    cols, cost, inc = _full_problem(inst)
+    _, cost, inc = _full_problem(inst)
     full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
     assert abs(w.value - full) <= SOLVER_TOL * max(1.0, full)
-    # the mapped-back weights and dual are feasible on the full instance
+    _check_certified_on_the_full_instance(inst, w)
+
+
+def _check_certified_on_the_full_instance(inst, w):
+    """W's weights cover and its dual is feasible and closes the gap, on all finite-cost candidates."""
+    cols, cost, inc = _full_problem(inst)
     x = np.array(w.weights)
     assert not np.any(x[~np.isfinite(inst.costs)])
     coverage = np.bincount(inc.row_of, weights=x[cols][inc.row_cols], minlength=len(inst.target))
@@ -475,7 +487,7 @@ def test_reduced_solves_cover_and_certify_on_the_full_instance(
     plain = []
     with monkeypatch.context() as mp:
         mp.setattr(optimizer, "_REDUCE_MIN_COLS", 2**62)
-        plain = [solve_integer(inst).value for inst in reduction_instances]
+        plain = [solve_integer(_fresh(inst)).value for inst in reduction_instances]
     if always:
         monkeypatch.setattr(optimizer, "_REDUCE_MIN_COLS", 0)
     for inst, plain_h in zip(reduction_instances, plain):
@@ -487,7 +499,7 @@ def test_reduction_is_exact_when_every_set_key_collides(monkeypatch, reduction_i
     # comparison can tell them apart.
     insts = [inst for inst in reduction_instances if len(inst.candidates) >= 64]
     assert len(insts) > 10
-    want = [(solve_integer(inst), solve_fractional(inst)) for inst in insts]
+    want = [(solve_integer(inst), solve_fractional(inst)) for inst in map(_fresh, insts)]
     reductions = [_reduction(inst) for inst in insts]
     monkeypatch.setattr(
         optimizer, "_set_keys", lambda member, ptr, n: np.zeros(len(ptr) - 1, dtype=np.uint64)
@@ -495,8 +507,108 @@ def test_reduction_is_exact_when_every_set_key_collides(monkeypatch, reduction_i
     for inst, (h, w), (kept, rows) in zip(insts, want, reductions):
         got_kept, got_rows = _reduction(inst)
         assert np.array_equal(got_kept, kept) and np.array_equal(got_rows, rows)
+        inst = _fresh(inst)
         assert solve_integer(inst) == h
         assert solve_fractional(inst) == w
+
+
+# --- one prepared instance for H and W ------------------------------------
+
+
+def _shared_instances():
+    """(instance, whether it lies on a line) pairs.
+
+    Mixed-corpus cases with q > 0 and partial support, where zero-cost
+    candidates occur; the product corpus; level 3-8 nets.
+    """
+    for case in build_mixed_corpus(5, 120, full_support=False):
+        if case.q > 0:
+            inst = build_cover_instance(
+                case.space, case.measure, case.q, case.xi, case.target, case.delta
+            )
+            yield inst, False
+    for case in build_product_corpus(5, 15):
+        yield build_product_cover_instance(
+            product_space(case.left, case.right),
+            product_measure(case.left_measure, case.right_measure),
+            case.q,
+            product_premeasure(case.left_xi, case.right_xi),
+            case.left_target,
+            case.right_target,
+            case.delta,
+        ), False
+    for level in (3, 4, 5, 6, 7, 8):
+        space, measure = cantor_net(level)
+        for q, delta in ((0.0, 0.5), (1.0, 0.2)) if level < 8 else ((0.0, 0.5),):
+            yield build_cover_instance(
+                space, measure, q, _CANTOR_GAUGE, space.point_ids, delta
+            ), True
+
+
+def test_h_and_w_agree_whichever_solves_first_on_a_shared_instance():
+    zero_cost = 0
+    for inst, line in _shared_instances():
+        h_alone, w_alone = solve_integer(_fresh(inst)), solve_fractional(_fresh(inst))
+        first_h = _fresh(inst)
+        h1, w1 = solve_integer(first_h), solve_fractional(first_h)
+        first_w = _fresh(inst)
+        w2, h2 = solve_fractional(first_w), solve_integer(first_w)
+        if math.isinf(h_alone.value):
+            assert all(math.isinf(s.value) for s in (h1, h2, w_alone, w1, w2))
+            continue
+        for h in (h1, h2):
+            assert abs(h.value - h_alone.value) <= optimizer._PRUNE_REL * max(1.0, h_alone.value)
+            assert _covers(inst, h.chosen)
+            assert sum(inst.costs[i] for i in h.chosen) == h.value
+        for w in (w1, w2):
+            assert abs(w.value - w_alone.value) <= SOLVER_TOL * max(1.0, w_alone.value)
+            assert w.value <= h_alone.value + SOLVER_TOL
+            _check_certified_on_the_full_instance(inst, w)
+        if line:
+            exact = _interval_dp(inst)
+            assert abs(h1.value - exact) <= SOLVER_TOL and abs(w1.value - exact) <= SOLVER_TOL
+        zero_cost += bool(np.any((inst.costs == 0.0) & (np.diff(inst.indptr) > 0)))
+    assert zero_cost > 10
+
+
+def test_zero_cost_candidates_get_weight_one_and_their_points_dual_zero():
+    # Point "a" has no mass, so at q = 1 every ball holding only it costs 0.
+    space = validate_space(coords=np.array([[0.0], [1.0], [2.0]]), epsilon_net=0.25)
+    a, b, c = space.point_ids
+    measure = point_measure(space, {a: 0.0, b: 0.5, c: 0.5})
+    xi = Premeasure.from_gauge(HausdorffFunction.linear())
+    inst = build_cover_instance(space, measure, 1.0, xi, space.point_ids, 0.6)
+    free = np.flatnonzero(inst.costs == 0.0)
+    assert len(free)
+    w, h = solve_fractional(inst), solve_integer(inst)
+    assert np.all(np.array(w.weights)[free] == 1.0)
+    assert w.dual[a] == 0.0
+    assert set(free.tolist()) <= set(h.chosen)
+    assert w.value == pytest.approx(h.value, abs=1e-12)
+    _check_certified_on_the_full_instance(inst, w)
+
+
+def test_stable_order_in_small_keys_equals_the_int64_order(monkeypatch):
+    # Row counts on both sides of the uint8 and uint16 limits, and above.
+    rng = np.random.default_rng(9)
+    cases = []
+    for m in (200, 256, 257, 60000, 65536, 65537, 70000):
+        sizes = rng.integers(0, min(m, 400), 120)
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        indices = np.concatenate([rng.choice(m, k, replace=False) for k in sizes])
+        cols = rng.permutation(120)[:100]
+        for rows in (np.ones(m, dtype=bool), rng.random(m) < 0.9):
+            cases.append((indptr, indices, cols, rows))
+    got = [optimizer._incidence(*case) for case in cases]
+    monkeypatch.setattr(
+        optimizer, "_stable_order", lambda ids, n: np.argsort(ids.astype(np.int64), kind="stable")
+    )
+    for case, inc in zip(cases, got):
+        want = optimizer._incidence(*case)
+        assert all(np.array_equal(a, b) for a, b in zip(inc, want))
+    assert {np.min_scalar_type(int(rows.sum()) - 1) for *_, rows in cases} == {
+        np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)
+    }
 
 
 # --- the LP adapter ---------------------------------------------------------
@@ -548,8 +660,8 @@ def _seeded_instances():
     space, measure = cantor_net(5)
     for q in (0.0, 2.0):
         yield build_cover_instance(space, measure, q, power, space.point_ids, 0.2)
-    # odd cycles: the root LP sits below H, so the search branches
-    for n in (15, 25):
+    # odd cycles: on most the root LP sits below H, so the search branches
+    for n in (7, 11, 13, 15, 17, 19, 25):
         space = cycle_metric(n)
         yield build_cover_instance(
             space, uniform_measure(space), 0.0, Premeasure.constant_nonempty(1.0),
@@ -633,7 +745,15 @@ def test_every_covering_lp_goes_through_the_linprog_name(monkeypatch):
     inst = build_cover_instance(space, measure, 1.0, power, space.point_ids, 0.2)
     solve_integer(inst)
     solve_fractional(inst)
-    assert len(runs) >= 2 and len(seen) == len(runs)
+    assert len(runs) == 1 and len(seen) == 1  # H and W share the root LP
+    # an odd cycle: the search branches, and every node LP is seen too
+    space = cycle_metric(25)
+    inst = build_cover_instance(
+        space, uniform_measure(space), 0.0, Premeasure.constant_nonempty(1.0),
+        space.point_ids, 1.0,
+    )
+    solve_integer(inst)
+    assert len(runs) > 2 and len(seen) == len(runs)
 
 
 def test_a_scipy_without_the_highs_bindings_fails_the_import():

@@ -54,3 +54,21 @@ def test_reports_state_the_tolerance_each_relation_applied(name):
     applied = {tol.tol for tol in report.tolerances}
     assert applied <= {CHECK_TOL, SOLVER_TOL, 0.0}
     assert (CHECK_TOL in applied) == (name in _CHECK_TOL_SUITES)
+
+
+def test_product_w_runs_no_integer_search_and_wh_order_builds_once_per_case(monkeypatch):
+    from fracmeasure import optimizer
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("product-w solved an integer cover")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optimizer, "solve_integer", no_search)
+        assert run_suite("product-w", count=5).passed
+    builds = []
+    build = optimizer.build_cover_instance
+    monkeypatch.setattr(
+        optimizer, "build_cover_instance", lambda *a, **k: builds.append(a) or build(*a, **k)
+    )
+    report = run_suite("wh-order", count=5)
+    assert report.passed and len(builds) == report.cases
