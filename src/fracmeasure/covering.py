@@ -54,9 +54,13 @@ def vitali_5r_packing(space: FiniteMetricSpace, balls: Iterable[Ball]) -> Vitali
     Every input ball intersects (in members) a chosen ball of at least
     its radius, namely its blocker, so the 5-fold dilations of the
     packing swallow every input member.  Both facts are verified on the
-    output before returning.
+    output before returning.  A NaN or negative radius raises InvalidInput.
     """
-    ordered = sorted(set(balls), key=lambda b: _ball_order_key(space, b))
+    balls = set(balls)
+    for b in balls:
+        if not b.radius >= 0.0:  # also rejects NaN
+            raise InvalidInput(f"ball radii must be nonnegative, got {b.radius!r}")
+    ordered = sorted(balls, key=lambda b: _ball_order_key(space, b))
     chosen: list[Ball] = []
     chosen_members: list[frozenset] = []
     blocker: dict = {}

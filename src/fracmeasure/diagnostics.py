@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyGrid, InvalidInput, ZeroDenominator
 from .extended import INF, SOLVER_TOL, xdiv, xdiv_array
-from .metric import Ball, FiniteMetricSpace, PointMeasure, ball_grid, ball_mass
-from .premeasure import Premeasure, eval_premeasure, weight_term, weight_terms
-from .optimizer import hausdorff_premeasure
+from .metric import Ball, FiniteMetricSpace, PointMeasure, ball_mass
+from .premeasure import Premeasure, eval_premeasure, weight_term
+from .optimizer import build_cover_instance, solve_integer
 
 __all__ = [
     "blanketing_ratio",
@@ -128,23 +128,23 @@ def density_upper_bound_check(
 ) -> DensityBoundReport:
     """Check nu(E) <= s * H_delta(E) with s the candidate density supremum.
 
-    s is the max of nu(B) / weight_term(B) over the candidate family of
-    the target, priced as one grid.  For any cover of E,
-    nu(E) <= sum nu(B_i) <= s * sum of the cover costs, so the bound
-    holds at fixed scale on every valid instance.  When s is infinite
-    the per-ball estimate nu(B) <= s * cost degenerates to
-    nu(B) <= inf, so the reported bound is infinite (the 0 * inf = 0
-    cost convention does not apply to this comparison).
+    E is the set of target points, each counted once, and s is the max
+    of nu(B) / weight_term(B) over the candidates of the cover instance
+    that H is solved on.  For any cover of E, nu(E) <= sum nu(B_i) <=
+    s * sum of the cover costs, so the bound holds at fixed scale on
+    every valid instance.  When s is infinite the per-ball estimate
+    nu(B) <= s * cost degenerates to nu(B) <= inf, so the reported bound
+    is infinite (the 0 * inf = 0 cost convention does not apply to this
+    comparison).
     """
-    tgt = tuple(target)
-    nu_total = float(sum(nu.mass_of(p) for p in tgt))
-    if not tgt:
+    instance = build_cover_instance(space, measure, q, xi, target, delta)
+    if not instance.target:
         return DensityBoundReport(
             nu_total=0.0, density_sup=0.0, h_value=0.0, bound=0.0, ok=True, slack=0.0
         )
-    grid = ball_grid(space, tgt, delta)
-    s = float(xdiv_array(grid.mass(nu), weight_terms(grid, measure, q, xi)).max())
-    h = hausdorff_premeasure(space, measure, q, xi, tgt, delta)
+    nu_total = float(sum(nu.mass_of(p) for p in instance.target))
+    s = float(xdiv_array(instance.grid.mass(nu), instance.costs).max())
+    h = solve_integer(instance)
     if s == INF or h.value == INF:
         bound = INF
     else:

@@ -18,8 +18,10 @@ cost are always safe to take.
 Both solvers read one array-native instance: a CSR incidence of the
 candidates on the target and a cost array, built from one stable
 argsort per center row (``metric.ball_grid``), or, on products, from
-the Kronecker product of the factor incidences.  What they share is
-prepared once per instance and cached on it: the residual problem
+the Kronecker product of the factor incidences.  The instance keeps
+that grid; the ``Ball`` or ``Rectangle`` of each candidate is a view
+built only when read, and no solver reads it.  What the solvers share
+is prepared once per instance and cached on it: the residual problem
 (``CoverInstance._residual``) and its covering LP
 (``CoverInstance._root_lp``), so solving H and W on one instance
 builds, reduces and solves that LP once.  The LP is computed when a
@@ -31,7 +33,9 @@ positive finite-cost candidates that meet them.  H is the residual
 optimum plus the zero-cost candidates with members.  W is the residual
 LP optimum plus weight 1 on each of them, with the same value, and its
 dual is 0 on the rows they cover, which keeps it feasible for their
-zero-cost columns.
+zero-cost columns.  The residual problem and its LP keep the columns in
+candidate order; only the branch and bound sorts them into its search
+order (below).
 
 Before either solve, one lossless set-cover reduction (``_reduce``; Beasley
 1987, Caprara, Fischetti & Toth 2000) shrinks the residual problem by
@@ -78,10 +82,12 @@ support joined with the node's picks is checked against the incidence
 and, if it covers, offered as an incumbent valued by the plain sum of
 its costs, never by the LP objective.  Branching picks the uncovered
 point covered by the fewest still-allowed candidates and tries its
-candidates in the global order (descending coverage per unit cost, ties
-by lexicographic (center, radius)), excluding earlier branches from
-later ones, which makes the search exhaustive without repetition and
-deterministic.  If the node budget is exhausted, the search raises
+candidates in the search order: descending coverage of the residual
+rows per unit cost, ties by candidate index, which is lexicographic
+(center, radius).  ``solve_integer`` sorts the residual columns into
+this order once, and nothing else does.  Earlier branches are excluded
+from later ones, which makes the search exhaustive without repetition
+and deterministic.  If the node budget is exhausted, the search raises
 CandidateLimitExceeded carrying the proven bound bracket.
 """
 
@@ -107,9 +113,11 @@ from .errors import (
 )
 from .extended import INF, SOLVER_TOL
 from .metric import (
+    BallGrid,
     FiniteMetricSpace,
     PointMeasure,
     ProductSpace,
+    RectangleGrid,
     ball_grid,
     csr_offsets,
     rectangle_grid,
@@ -156,18 +164,19 @@ _INTEGRAL_TOL = 1e-9  # LP solution entries this close to an integer count as in
 
 @dataclass(frozen=True, eq=False)
 class CoverInstance:
-    """Frozen covering problem: candidates, their costs and the target incidence.
+    """Frozen covering problem: the candidate grid, its target incidence and its costs.
 
     The incidence is CSR: the members of candidate ``j`` inside the
     target are the target positions ``indices[indptr[j]:indptr[j + 1]]``
-    (in no particular order), and ``costs[j]`` is its cost.  ``covered``
-    is a derived read-only view of the same incidence, as frozensets of
-    target ids.
+    (in no particular order), and ``costs[j]`` is its cost.  Two derived
+    read-only views are built on first read: ``candidates``, the ``Ball``
+    (or ``Rectangle``) of each candidate from ``grid``, and ``covered``,
+    the members as frozensets of target ids.  The solvers read neither.
     """
 
     space: FiniteMetricSpace | ProductSpace
     target: tuple
-    candidates: tuple
+    grid: BallGrid | RectangleGrid | None  # None for the empty target
     indptr: np.ndarray
     indices: np.ndarray
     costs: np.ndarray
@@ -175,6 +184,13 @@ class CoverInstance:
     def __post_init__(self) -> None:
         for arr in (self.indptr, self.indices, self.costs):
             arr.setflags(write=False)
+
+    @cached_property
+    def candidates(self) -> tuple:
+        grid = self.grid
+        if grid is None:
+            return ()
+        return tuple(grid.balls() if isinstance(grid, BallGrid) else grid.rectangles())
 
     @cached_property
     def covered(self) -> tuple[frozenset, ...]:
@@ -201,47 +217,31 @@ class CoverInstance:
             return None
         rows = np.ones(m, dtype=bool)
         rows[self.indices[zero[owner]]] = False
-        # Columns in the global order: descending coverage per unit cost,
-        # ties by candidate index, which is lexicographic (center, radius).
         gain = np.bincount(owner[rows[self.indices]], minlength=len(costs))
-        act = np.flatnonzero(finite & ~zero & (gain > 0))
-        order = act[np.argsort(-(gain[act] / costs[act]), kind="stable")]
+        cols = np.flatnonzero(finite & ~zero & (gain > 0))
         del owner  # entry-sized: free it before the incidence is built
-        inc = _incidence(self.indptr, self.indices, order, rows)
-        if len(order) >= _REDUCE_MIN_COLS:
-            # Reduce, then put the kept columns that still meet a row in the
-            # global order of the reduced problem.
-            kept, kept_rows = _reduce(inc, costs[order])
-            gain = np.bincount(inc.row_cols[kept_rows[inc.row_of]], minlength=len(order))[kept]
-            kept, gain = kept[gain > 0], gain[gain > 0]
-            kept = kept[np.argsort(-(gain / costs[order[kept]]), kind="stable")]
-            inc, order = _incidence(inc.col_ptr, inc.col_rows, kept, kept_rows), order[kept]
+        inc = _incidence(self.indptr, self.indices, cols, rows)
+        if len(cols) >= _REDUCE_MIN_COLS:
+            # Reduce, then keep the kept columns that still meet a kept row.
+            kept, kept_rows = _reduce(inc, costs[cols])
+            gain = np.bincount(inc.row_cols[kept_rows[inc.row_of]], minlength=len(cols))
+            kept = kept[gain[kept] > 0]
+            inc, cols = _incidence(inc.col_ptr, inc.col_rows, kept, kept_rows), cols[kept]
             rows[rows] = kept_rows
         return _Residual(
-            free=np.flatnonzero(zero & (sizes > 0)), rows=np.flatnonzero(rows), order=order, inc=inc
+            free=np.flatnonzero(zero & (sizes > 0)), rows=np.flatnonzero(rows), cols=cols, inc=inc
         )
 
     @cached_property
     def _root_lp(self):
         """The covering LP of ``_residual``: ``linprog``'s (value, x, y), or None if infeasible.
 
-        ``x`` runs over the residual columns in ``order`` and ``y`` over its
-        rows.  The LP is posed with the columns in candidate order, so
-        its solution does not depend on the integer search's order.
+        ``x`` runs over the residual columns ``cols`` and ``y`` over its rows.
         """
         res = self._residual
         if not len(res.rows):
             return 0.0, np.zeros(0), np.zeros(0)
-        by_index = np.argsort(res.order)
-        all_rows = np.ones(len(res.rows), dtype=bool)
-        lp = _incidence(res.inc.col_ptr, res.inc.col_rows, by_index, all_rows)
-        out = linprog(self.costs[res.order[by_index]], lp.row_ptr, lp.row_cols)
-        if out is None:
-            return None
-        value, x, y = out
-        x_order = np.empty_like(x)
-        x_order[by_index] = x
-        return value, x_order, y
+        return linprog(self.costs[res.cols], res.inc.row_ptr, res.inc.row_cols)
 
 
 @dataclass(frozen=True)
@@ -285,11 +285,24 @@ def _sorted_target(space: FiniteMetricSpace, points: Iterable) -> tuple:
     return tuple(sorted(pts, key=space.index_of))
 
 
+def _from_grid(space, target, grid, incidence, measure, q, xi) -> CoverInstance:
+    """The instance of ``grid`` on ``target``, given its incidence there, priced."""
+    indptr, indices = incidence
+    return CoverInstance(
+        space=space,
+        target=target,
+        grid=grid,
+        indptr=indptr,
+        indices=indices,
+        costs=weight_terms(grid, measure, q, xi),
+    )
+
+
 def _empty_instance(space) -> CoverInstance:
     return CoverInstance(
         space=space,
         target=(),
-        candidates=(),
+        grid=None,
         indptr=np.zeros(1, dtype=np.intp),
         indices=np.zeros(0, dtype=np.intp),
         costs=np.zeros(0),
@@ -313,15 +326,7 @@ def build_cover_instance(
     if not tgt:
         return _empty_instance(space)
     grid = ball_grid(space, tgt if centers is None else centers, delta)
-    indptr, indices = grid.incidence(tgt)
-    return CoverInstance(
-        space=space,
-        target=tgt,
-        candidates=tuple(grid.balls()),
-        indptr=indptr,
-        indices=indices,
-        costs=weight_terms(grid, measure, q, xi),
-    )
+    return _from_grid(space, tgt, grid, grid.incidence(tgt), measure, q, xi)
 
 
 def build_product_cover_instance(
@@ -345,15 +350,7 @@ def build_product_cover_instance(
     if not tgt:
         return _empty_instance(product)
     grid = rectangle_grid(product, lt, rt, delta)
-    indptr, indices = grid.incidence(lt, rt)
-    return CoverInstance(
-        space=product,
-        target=tgt,
-        candidates=tuple(grid.rectangles()),
-        indptr=indptr,
-        indices=indices,
-        costs=weight_terms(grid, pair_measure, q, xi),
-    )
+    return _from_grid(product, tgt, grid, grid.incidence(lt, rt), pair_measure, q, xi)
 
 
 class _Incidence(NamedTuple):
@@ -376,14 +373,13 @@ class _Residual(NamedTuple):
     """The covering problem H and W share (``CoverInstance._residual``).
 
     ``free`` holds the zero-cost candidates with members, ascending.  The
-    rows are the target positions ``rows``, ascending; the columns are
-    the candidates ``order``, in the global order; ``inc`` is their
-    incidence.
+    rows are the target positions ``rows`` and the columns the candidates
+    ``cols``, both ascending; ``inc`` is their incidence.
     """
 
     free: np.ndarray
     rows: np.ndarray
-    order: np.ndarray
+    cols: np.ndarray
     inc: _Incidence
 
 
@@ -701,7 +697,7 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
         )
     value, x, y = out
     weights, dual = np.zeros(n), np.zeros(m)
-    weights[res.free], weights[res.order], dual[res.rows] = 1.0, x, y
+    weights[res.free], weights[res.cols], dual[res.rows] = 1.0, x, y
 
     # Certificate checks, on the whole finite-cost instance.
     costs = instance.costs
@@ -732,7 +728,7 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
 def _greedy_cover(cost: np.ndarray, inc: _Incidence, rem: np.ndarray) -> list[int] | None:
     """Deterministic greedy incumbent: max new coverage per unit cost.
 
-    Columns are in the global order and ``rem`` marks the rows still to
+    Columns are in the search order and ``rem`` marks the rows still to
     cover.  Ties go to the first column in that order.  Gains are kept
     up to date incrementally.
     """
@@ -772,8 +768,11 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     if not len(res.rows):
         return IntegerCoverSolution(chosen=tuple(free), value=0.0, status="optimal", nodes=0)
 
-    inc, order = res.inc, res.order
+    # The search order: descending coverage per unit cost, ties by candidate index.
     m = len(res.rows)
+    by_gain = np.argsort(-(np.diff(res.inc.col_ptr) / instance.costs[res.cols]), kind="stable")
+    inc = _incidence(res.inc.col_ptr, res.inc.col_rows, by_gain, np.ones(m, dtype=bool))
+    order = res.cols[by_gain]
     n = len(order)
     cost = instance.costs[order]
     cost_of = instance.costs.tolist()
@@ -817,7 +816,9 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         """
         if nodes == 1:
             cols, row_ptr, row_cols = np.arange(n), inc.row_ptr, inc.row_cols
-            out = instance._root_lp
+            out = instance._root_lp  # x in candidate order
+            if out is not None:
+                out = out[0], out[1][by_gain], out[2]
         else:
             in_lp = np.zeros(n, dtype=bool)
             in_lp[inc.row_cols[keep]] = True
@@ -934,7 +935,7 @@ def brute_force_oracle(instance: CoverInstance) -> tuple[float, float]:
     the best feasible objective.  Bounded to 20 candidates and 10 target
     points; exact up to 1e-12 linear algebra.
     """
-    n = len(instance.candidates)
+    n = len(instance.costs)
     m = len(instance.target)
     if n > 20 or m > 10:
         raise SizeLimit(f"oracle limits are 20 candidates / 10 points, got {n}/{m}")

@@ -306,6 +306,13 @@ def _w_and_h(space, measure, q, xi, target, delta) -> tuple[float, float]:
     return optimizer.solve_fractional(instance).value, optimizer.solve_integer(instance).value
 
 
+def _product_instance(prod, pair_measure, case: ProductCase, xi: Premeasure):
+    """The rectangle cover instance of a product case's target under ``xi``."""
+    return optimizer.build_product_cover_instance(
+        prod, pair_measure, case.q, xi, case.left_target, case.right_target, case.delta
+    )
+
+
 def suite_wh_order(count: int = 500, seed: int = 0) -> SuiteReport:
     report = SuiteReport(
         name="wh-order",
@@ -413,11 +420,7 @@ def suite_product_w(count: int = 100, seed: int = 0) -> SuiteReport:
         prod = product_space(case.left, case.right)
         pm = product_measure(case.left_measure, case.right_measure)
         xi0 = product_premeasure(case.left_xi, case.right_xi)
-        w = optimizer.solve_fractional(
-            optimizer.build_product_cover_instance(
-                prod, pm, case.q, xi0, case.left_target, case.right_target, case.delta
-            )
-        )
+        w = optimizer.solve_fractional(_product_instance(prod, pm, case, xi0))
         wl = weighted_premeasure(
             case.left, case.left_measure, case.q, case.left_xi, case.left_target, case.delta
         ).value
@@ -446,28 +449,19 @@ def suite_sandwich(count: int = 100, seed: int = 0) -> SuiteReport:
         prod = product_space(case.left, case.right)
         pm = product_measure(case.left_measure, case.right_measure)
         xi0 = product_premeasure(case.left_xi, case.right_xi)
-        h_prod, _ = product_premeasure_values(
-            prod, pm, case.q, xi0, case.left_target, case.right_target, case.delta
+        h_prod = optimizer.solve_integer(_product_instance(prod, pm, case, xi0)).value
+        wl, hl = _w_and_h(
+            case.left, case.left_measure, case.q, case.left_xi, case.left_target, case.delta
         )
-        wl = weighted_premeasure(
-            case.left, case.left_measure, case.q, case.left_xi, case.left_target, case.delta
-        ).value
-        hl = hausdorff_premeasure(
-            case.left, case.left_measure, case.q, case.left_xi, case.left_target, case.delta
-        ).value
         hr = hausdorff_premeasure(
             case.right, case.right_measure, case.q, case.right_xi, case.right_target, case.delta
         ).value
         lower = wl * hr
         upper = hl * hr
-        if not _le(lower, h_prod.value, CHECK_TOL):
-            report.violations.append(
-                f"{case.cid}: W(E)H(F)={lower!r} exceeds H(ExF)={h_prod.value!r}"
-            )
-        if not _le(h_prod.value, upper, CHECK_TOL):
-            report.violations.append(
-                f"{case.cid}: H(ExF)={h_prod.value!r} exceeds H(E)H(F)={upper!r}"
-            )
+        if not _le(lower, h_prod, CHECK_TOL):
+            report.violations.append(f"{case.cid}: W(E)H(F)={lower!r} exceeds H(ExF)={h_prod!r}")
+        if not _le(h_prod, upper, CHECK_TOL):
+            report.violations.append(f"{case.cid}: H(ExF)={h_prod!r} exceeds H(E)H(F)={upper!r}")
     return report
 
 
@@ -509,10 +503,7 @@ def suite_zero_infinite(count: int = 20, seed: int = 0) -> SuiteReport:
         delta = max(delta, right.epsilon_net)
 
         report.cases += 1
-        h_left = hausdorff_premeasure(
-            left, lmeasure, q, lxi, left.point_ids, delta
-        )
-        w_left = weighted_premeasure(left, lmeasure, q, lxi, left.point_ids, delta)
+        w_left, h_left = _w_and_h(left, lmeasure, q, lxi, left.point_ids, delta)
         h_right = hausdorff_premeasure(
             right, rmeasure, q, rxi, right.point_ids, delta
         )
@@ -522,9 +513,9 @@ def suite_zero_infinite(count: int = 20, seed: int = 0) -> SuiteReport:
         h_prod, w_prod = product_premeasure_values(
             prod, pm, q, xi0, left.point_ids, right.point_ids, delta
         )
-        if not math.isinf(h_left.value) or not math.isinf(w_left.value):
+        if not math.isinf(h_left) or not math.isinf(w_left):
             report.violations.append(
-                f"zi-{i}: expected infinite left values, got H={h_left.value!r} W={w_left.value!r}"
+                f"zi-{i}: expected infinite left values, got H={h_left!r} W={w_left!r}"
             )
         if h_right.value != 0.0:
             report.violations.append(
@@ -574,15 +565,11 @@ def suite_hxh(count: int = 50, seed: int = 0) -> SuiteReport:
         pm = product_measure(case.left_measure, case.right_measure)
         plain = product_premeasure(Premeasure.from_gauge(h), Premeasure.from_gauge(hp))
         joint = hxh_premeasure(h, hp)
-        _, w_plain = product_premeasure_values(
-            prod, pm, case.q, plain, case.left_target, case.right_target, case.delta
-        )
-        _, w_joint = product_premeasure_values(
-            prod, pm, case.q, joint, case.left_target, case.right_target, case.delta
-        )
-        if not _le(w_plain.value, w_joint.value, SOLVER_TOL):
+        w_plain = optimizer.solve_fractional(_product_instance(prod, pm, case, plain)).value
+        w_joint = optimizer.solve_fractional(_product_instance(prod, pm, case, joint)).value
+        if not _le(w_plain, w_joint, SOLVER_TOL):
             report.violations.append(
-                f"{case.cid}: joint gauge {w_joint.value!r} below plain product {w_plain.value!r}"
+                f"{case.cid}: joint gauge {w_joint!r} below plain product {w_plain!r}"
             )
     return report
 
@@ -709,12 +696,7 @@ def suite_lemma_8c(count: int = 40, seed: int = 0) -> SuiteReport:
             num = weight_term(case.space, case.measure, case.q, case.xi, dilate(b, 3.0))
             den = weight_term(case.space, case.measure, case.q, case.xi, b)
             c3 = max(c3, xdiv(num, den))
-        h = hausdorff_premeasure(
-            case.space, case.measure, case.q, case.xi, case.target, case.delta
-        ).value
-        w = weighted_premeasure(
-            case.space, case.measure, case.q, case.xi, case.target, case.delta
-        ).value
+        w, h = _w_and_h(case.space, case.measure, case.q, case.xi, case.target, case.delta)
         bound = INF if (c3 == INF or math.isinf(w)) else 8.0 * c3 * w
         if not _le(h, bound, SOLVER_TOL):
             report.violations.append(

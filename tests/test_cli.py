@@ -307,6 +307,18 @@ def test_covering_besicovitch(tmp_path, capsys):
     assert out.startswith("families:")
 
 
+@pytest.mark.parametrize("radius", ['"nan"', "-1"])
+def test_covering_vitali_bad_radius_exits_2(tmp_path, capsys, radius):
+    inst = tmp_path / "net.json"
+    main(["gen", "--kind", "cantor", "--level", "3", "--out", str(inst)])
+    capsys.readouterr()
+    balls = f'[["000", {radius}]]'
+    code = main(["covering", "--instance", str(inst), "--op", "vitali", "--balls", balls])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "radii must be nonnegative" in err and "Traceback" not in err
+
+
 def test_bad_premeasure_json(tmp_path, capsys):
     inst = tmp_path / "c.json"
     main(["gen", "--kind", "cycle", "--n", "4", "--out", str(inst)])

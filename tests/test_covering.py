@@ -15,7 +15,7 @@ from fracmeasure import (
     validate_space,
     vitali_5r_packing,
 )
-from fracmeasure.errors import DimensionUnsupported, InvalidWeightedCover
+from fracmeasure.errors import DimensionUnsupported, InvalidInput, InvalidWeightedCover
 
 
 @pytest.fixture
@@ -74,6 +74,12 @@ def test_besicovitch_plane():
     radii = [float(rng.uniform(eps, 0.7)) for _ in range(8)]
     families = besicovitch_families(space, list(space.point_ids), radii)
     assert check_besicovitch(space, list(space.point_ids), families) == []
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1.0])
+def test_vitali_rejects_nan_and_negative_radii(int_line, radius):
+    with pytest.raises(InvalidInput):
+        vitali_5r_packing(int_line, [Ball("0", 1.0), Ball("2", radius)])
 
 
 def test_besicovitch_needs_coords(five_cycle):

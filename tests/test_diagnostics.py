@@ -94,6 +94,16 @@ def test_density_infinite_sup_keeps_bound_infinite():
     assert report.ok
 
 
+def test_density_counts_a_repeated_target_point_once():
+    space, measure = cantor_net(3)
+    xi = Premeasure.from_gauge(HausdorffFunction.linear())
+    once = density_upper_bound_check(space, measure, 0.0, xi, measure, ["000"], 0.5)
+    thrice = density_upper_bound_check(space, measure, 0.0, xi, measure, ["000"] * 3, 0.5)
+    assert thrice == once
+    assert once.nu_total == measure.mass_of("000") == 0.125
+    assert once.ok and once.slack >= 0.0
+
+
 def test_density_profile_rows(two_points, linear_gauge):
     space, measure = two_points
     rows, surrogate = upper_density_profile(

@@ -37,7 +37,7 @@ from fracmeasure import (
     validate_space,
     weighted_premeasure,
 )
-from fracmeasure import optimizer
+from fracmeasure import metric, optimizer
 from fracmeasure.verify import build_mixed_corpus, build_product_corpus
 
 
@@ -186,10 +186,12 @@ def test_oracle_size_limit(five_cycle, unit_constant):
     space, measure = five_cycle
     inst = build_cover_instance(space, measure, 0.0, unit_constant, space.point_ids, 1.0)
     sizes = np.tile(np.diff(inst.indptr), 3)
+    # Three copies of every column; the oracle counts columns by ``costs``,
+    # so the grid (whose ``candidates`` would list each ball once) can stay.
     big = inst.__class__(
         space=inst.space,
         target=inst.target,
-        candidates=inst.candidates * 3,
+        grid=inst.grid,
         indptr=np.concatenate([[0], np.cumsum(sizes)]),
         indices=np.tile(inst.indices, 3),
         costs=np.tile(inst.costs, 3),
@@ -586,6 +588,56 @@ def test_zero_cost_candidates_get_weight_one_and_their_points_dual_zero():
     assert set(free.tolist()) <= set(h.chosen)
     assert w.value == pytest.approx(h.value, abs=1e-12)
     _check_certified_on_the_full_instance(inst, w)
+
+
+def test_building_and_solving_never_make_the_candidate_objects(monkeypatch):
+    def refuse(grid):
+        raise AssertionError("a build or a solve made the candidate objects")
+
+    monkeypatch.setattr(metric.BallGrid, "balls", refuse)
+    monkeypatch.setattr(metric.RectangleGrid, "rectangles", refuse)
+    space, measure = cantor_net(5)
+    left, right = cantor_net(2)[0], cycle_metric(4)
+    insts = [
+        build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5),
+        build_cover_instance(
+            space, measure, 1.0, _CANTOR_GAUGE, space.point_ids[:9], 0.2,
+            centers=space.point_ids,
+        ),
+        build_product_cover_instance(
+            product_space(left, right),
+            product_measure(uniform_measure(left), uniform_measure(right)),
+            0.0,
+            product_premeasure(_CANTOR_GAUGE, _CANTOR_GAUGE),
+            left.point_ids,
+            right.point_ids,
+            0.5,
+        ),
+    ]
+    for inst in insts:
+        assert solve_integer(inst).value >= solve_fractional(inst).value - SOLVER_TOL
+    monkeypatch.undo()
+    for inst in insts:  # the view, built on first read
+        assert len(inst.candidates) == len(inst.costs)
+    assert insts[0].candidates == tuple(insts[0].grid.balls())
+    assert insts[2].candidates == tuple(insts[2].grid.rectangles())
+
+
+def test_only_the_integer_search_reorders_the_residual_columns(monkeypatch):
+    space, measure = cantor_net(5)
+    inst = build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5)
+    assert np.count_nonzero(inst.costs > 0.0) >= optimizer._REDUCE_MIN_COLS
+    calls = []
+    incidence = optimizer._incidence
+    monkeypatch.setattr(optimizer, "_incidence", lambda *a: calls.append(a) or incidence(*a))
+    w = solve_fractional(inst)
+    assert len(calls) == 2  # the residual problem and its reduction
+    cols = inst._residual.cols
+    assert len(cols) < np.count_nonzero(inst.costs > 0.0) and np.all(np.diff(cols) > 0)
+    assert np.array_equal(np.array(w.weights)[cols], inst._root_lp[1])
+    h = solve_integer(inst)
+    assert len(calls) == 3  # the search order
+    assert h.value == pytest.approx(w.value, rel=1e-9)
 
 
 def test_stable_order_in_small_keys_equals_the_int64_order(monkeypatch):

@@ -72,3 +72,38 @@ def test_product_w_runs_no_integer_search_and_wh_order_builds_once_per_case(monk
     )
     report = run_suite("wh-order", count=5)
     assert report.passed and len(builds) == report.cases
+
+
+@pytest.mark.parametrize(
+    "name, builds, integer, fractional",
+    [
+        ("hxh", 2, 0, 2),  # W of two gauges on one product
+        ("sandwich", 3, 3, 1),  # product H; left W and H; right H
+        ("zero-infinite", 3, 3, 2),  # left W and H; right H; product H and W
+        ("lemma-8c", 1, 1, 1),
+    ],
+)
+def test_suites_solve_what_they_check_on_one_instance_per_question(
+    monkeypatch, name, builds, integer, fractional
+):
+    from fracmeasure import optimizer
+
+    calls = {"build": 0, "solve_integer": 0, "solve_fractional": 0}
+
+    def count(attr, key):
+        orig = getattr(optimizer, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, attr, wrapper)
+
+    count("build_cover_instance", "build")
+    count("build_product_cover_instance", "build")
+    count("solve_integer", "solve_integer")
+    count("solve_fractional", "solve_fractional")
+    report = run_suite(name, count=4, seed=2)
+    assert report.passed and report.cases == 4
+    per_case = {"build": builds, "solve_integer": integer, "solve_fractional": fractional}
+    assert calls == {key: n * report.cases for key, n in per_case.items()}
