@@ -287,6 +287,10 @@ def _cmd_verify(args) -> int:
         if args.count is not None:
             count = _integer(args.count, "--count", 1)
             counts = {name: count for name in names if name not in FIXED_SUITES}
+            for name in names:
+                if name in FIXED_SUITES:
+                    note = f"note: --count does not apply to {name} (a fixed 10-case chain)"
+                    print(note, file=sys.stderr)
     failed = False
     reports = []
     for name in names:

@@ -22,8 +22,10 @@ def cantor_net(
     p^(number of 0s) * (1 - p)^(number of 1s).  The resolution floor is
     ratio^level, the length of one cylinder.
     """
-    if not 1 <= level <= _MAX_LEVEL:
+    if level > _MAX_LEVEL:
         raise LevelTooLarge(level, _MAX_LEVEL)
+    if level < 1:
+        raise InvalidInput(f"level must lie in 1..{_MAX_LEVEL}, got {level}")
     c = float(ratio)
     if not 0.0 < c <= 0.5:
         raise InvalidInput("contraction ratio must lie in (0, 1/2]")

@@ -43,10 +43,11 @@ three exact rules run until no row drops: of columns with identical
 member sets only the cheapest stays (ties to the lowest index); a column
 inside another kept column of equal or lower cost goes; a row whose
 candidate set contains another row's goes, since covering that row
-covers it (of two equal rows the lower index stays).  Identical sets
-are found by hashing and then compared member by member, and
-containment is tested only against the columns (or rows) that hold the
-rarest element, in bounded chunks.
+covers it (of two equal rows the lower index stays).  Each set is held
+as packed bits, 64 members to a ``uint64`` word, so both questions are
+exact word comparisons: identical sets are adjacent once sorted by
+their words, and containment is tested only against the columns (or
+rows) that hold the rarest element, in bounded chunks of pairs.
 The LP and the branch and bound run on the reduced problem, whose LP is
 the root node of the search; weights and choices map back to the
 public candidates, a dropped column gets weight 0 and a dropped row
@@ -426,27 +427,26 @@ def _incidence(
 # Instances with fewer finite-cost columns than this are solved as given:
 # their LPs are tiny, and the reduction's fixed cost would not pay off.
 _REDUCE_MIN_COLS = 64
-# Candidate pairs, or member entries, that the containment test holds at once.
+# Candidate pairs that the containment test holds at once.
 _CHUNK = 1 << 14
 
 
-def _element_keys(n: int) -> np.ndarray:
-    """One pseudo-random 64-bit key per element ``0..n-1`` (the splitmix64 finalizer)."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _bitsets(owner, member, n_sets, n_elems) -> np.ndarray:
+    """Each set as packed bits: word ``w`` of set ``s`` is ``bits[w, s]``.
 
-
-def _set_keys(member: np.ndarray, ptr: np.ndarray, n_elems: int) -> np.ndarray:
-    """One 64-bit key per set: the wrapping sum of its elements' keys.
-
-    Set ``s`` holds ``member[ptr[s]:ptr[s + 1]]``.  Equal sets get equal
-    keys; distinct sets may too, so a key only buckets.
+    Bit ``e % 64`` of word ``e // 64`` is set when set ``s`` holds element
+    ``e``.  The entries ``(owner, member)`` are sorted by owner, then
+    member, so each run of one owner and one word is OR-ed in one pass.
     """
-    total = np.zeros(len(member) + 1, dtype=np.uint64)
-    np.cumsum(_element_keys(n_elems)[member], out=total[1:])
-    return total[ptr[1:]] - total[ptr[:-1]]
+    bit = member.astype(np.uint64)  # becomes each entry's bit, in place
+    word = bit >> 6
+    head = np.ones(len(owner), dtype=bool)
+    head[1:] = (owner[1:] != owner[:-1]) | (word[1:] != word[:-1])
+    starts = np.flatnonzero(head)
+    np.left_shift(np.uint64(1), np.bitwise_and(bit, 63, out=bit), out=bit)
+    bits = np.zeros((-(-n_elems // 64), n_sets), dtype=np.uint64)
+    bits[word[starts], owner[starts]] = np.bitwise_or.reduceat(bit, starts)
+    return bits
 
 
 def _chunks(weight: np.ndarray, limit: int):
@@ -460,75 +460,49 @@ def _chunks(weight: np.ndarray, limit: int):
         start = stop
 
 
-def _identical(owner, member, n_sets, n_elems, sets, cost) -> np.ndarray:
+def _identical(bits, sets, cost) -> np.ndarray:
     """Mask of the sets among ``sets`` equal to a cheaper one, or an equal-cost one of lower index.
 
-    The entries ``(owner, member)`` are sorted by owner, then member, so
-    equal sets have equal member runs.  Sets are bucketed by their key
-    and size, and each is compared member by member with the cheapest
-    set of its bucket before it is merged into it; sets that differ from
-    it form the buckets of the next round.
+    ``bits`` holds the sets as packed bits (``_bitsets``).  Sorted by
+    their words, then cost, then index, equal sets are adjacent and the
+    first of each run is the one kept.
     """
-    size = np.bincount(owner, minlength=n_sets)
-    ptr = csr_offsets(size)
-    key = _set_keys(member, ptr, n_elems)
-    merged = np.zeros(n_sets, dtype=bool)
-    pending = sets
-    while len(pending) > 1:
-        s = pending[np.lexsort((pending, cost[pending], size[pending], key[pending]))]
-        head = np.ones(len(s), dtype=bool)
-        head[1:] = (key[s[1:]] != key[s[:-1]]) | (size[s[1:]] != size[s[:-1]])
-        rep = s[np.flatnonzero(head)[np.cumsum(head) - 1]]
-        a, b = s[~head], rep[~head]
-        differ = take_segments(member, ptr[a], size[a]) != take_segments(member, ptr[b], size[a])
-        bad = np.bincount(np.repeat(np.arange(len(a)), size[a])[differ], minlength=len(a)) > 0
-        merged[a[~bad]] = True
-        pending = a[bad]
+    s = sets[np.lexsort((sets, cost[sets], *bits[:, sets]))]
+    merged = np.zeros(bits.shape[1], dtype=bool)
+    merged[s[1:]] = (bits[:, s[1:]] == bits[:, s[:-1]]).all(axis=0)
     return merged
 
 
-def _inside(owner, member, holder, n_sets, n_elems, admissible):
+def _inside(owner, member, holder, bits, admissible):
     """Masks of the sets ``a`` and ``b`` in pairs with ``a`` inside ``b`` and ``admissible(a, b)``.
 
-    Set ``s`` holds elements in ``0..n_elems-1``.  The entries
-    ``(owner, member)`` are sorted by owner, then member; ``holder``
-    holds the owners of the same entries sorted by member, then owner.
+    The sets are the entries ``(owner, member)``, sorted by owner, then
+    member, and also packed in ``bits`` (``_bitsets``); ``holder`` holds
+    the owners of the same entries sorted by member, then owner.
     ``admissible`` maps index arrays to a mask and must reject
     ``a == b``.  A set holding ``a`` holds its rarest element, so only the
-    holders of that element are tried, a bounded chunk at a time: first
-    by a 64-bit signature of each set, which is the set itself when
-    there are at most 64 elements, then, if there are more, member by
-    member.
+    holders of that element are tried, a bounded chunk of pairs at a
+    time, and a pair is compared one word at a time: ``a`` is inside
+    ``b`` when no word of ``a`` has a bit outside ``b``'s.
     """
+    n_words, n_sets = bits.shape
+    n_elems = 64 * n_words  # a bound on the elements
     size = np.bincount(owner, minlength=n_sets)
-    ptr = csr_offsets(size)
     deg = np.bincount(member, minlength=n_elems)
     hold_ptr = csr_offsets(deg)
     sets = np.flatnonzero(size)
-    starts = ptr[sets]
-    rare = np.minimum.reduceat(deg[member] * n_elems + member, starts) % n_elems
-    bits = np.left_shift(np.uint64(1), (member % 64).astype(np.uint64))
-    sig = np.zeros(n_sets, dtype=np.uint64)
-    sig[sets] = np.bitwise_or.reduceat(bits, starts)
-    keys = owner * n_elems + member  # ascending
+    rare = np.minimum.reduceat(deg[member] * n_elems + member, csr_offsets(size)[sets]) % n_elems
     count = deg[rare]
     inner, outer = np.zeros(n_sets, dtype=bool), np.zeros(n_sets, dtype=bool)
     for lo, hi in _chunks(count, _CHUNK):
         a = np.repeat(sets[lo:hi], count[lo:hi])
         b = take_segments(holder, hold_ptr[rare[lo:hi]], count[lo:hi])
         ok = admissible(a, b)
-        ok[ok] = (sig[a[ok]] & ~sig[b[ok]]) == 0
         a, b = a[ok], b[ok]
-        if n_elems <= 64:
-            inner[a], outer[b] = True, True
-            continue
-        for lo2, hi2 in _chunks(size[a], _CHUNK):
-            pa, pb = a[lo2:hi2], b[lo2:hi2]
-            probe = take_segments(member, ptr[pa], size[pa]) + np.repeat(pb * n_elems, size[pa])
-            at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-            missing = np.repeat(np.arange(len(pa)), size[pa])[keys[at] != probe]
-            inside = np.bincount(missing, minlength=len(pa)) == 0
-            inner[pa[inside]], outer[pb[inside]] = True, True
+        for word in bits:
+            ok = (word[a] & ~word[b]) == 0
+            a, b = a[ok], b[ok]
+        inner[a], outer[b] = True, True
     return inner, outer
 
 
@@ -562,20 +536,26 @@ def _reduce(inc: _Incidence, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row, row_col = inc.row_of, inc.row_cols  # sorted by (row, column)
     cols, rows = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
     while True:
-        cols &= ~_identical(col, col_row, n, m, np.flatnonzero(cols), cost)
+        # One column bitset per round serves both column rules: dropping
+        # identical columns leaves the rows, and so the bits, as they are.
+        # Columns keep the row numbering; rows renumber the columns below,
+        # since few of the n columns may be kept.
+        bits = _bitsets(col, col_row, n, m)
+        cols &= ~_identical(bits, np.flatnonzero(cols), cost)
         col, col_row = _live(col, col_row, cols, rows)
         row, row_col = _live(row, row_col, rows, cols)
         size = np.bincount(col, minlength=n)
         dominated, _ = _inside(
-            col, (np.cumsum(rows) - 1)[col_row], row_col, n, int(rows.sum()),
+            col, col_row, row_col, bits,
             lambda a, b: (size[b] > size[a]) & (cost[b] <= cost[a]),
         )
         cols &= ~dominated
         col, col_row = _live(col, col_row, cols, rows)
         row, row_col = _live(row, row_col, rows, cols)
         size = np.bincount(row, minlength=m)
+        ranked = (np.cumsum(cols) - 1)[row_col]
         _, covering = _inside(
-            row, (np.cumsum(cols) - 1)[row_col], col_row, m, int(cols.sum()),
+            row, ranked, col_row, _bitsets(row, ranked, m, int(cols.sum())),
             lambda a, b: (size[b] > size[a]) | ((size[b] == size[a]) & (a < b)),
         )
         if not covering.any():

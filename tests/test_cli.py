@@ -246,6 +246,26 @@ def test_verify_exit_codes(capsys):
     assert "tolerance 1e-09: W <= H + tol" in captured.out
 
 
+def test_verify_notes_that_count_skips_the_fixed_chain(capsys):
+    assert main(["verify", "--suites", "example-zero"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["verify", "--suites", "example-zero", "--count", "1"]) == 0
+    counted = capsys.readouterr()
+    assert counted.out == plain.out
+    assert counted.out.startswith("example-zero: PASS (10 cases)\n")
+    assert counted.err == "note: --count does not apply to example-zero (a fixed 10-case chain)\n"
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_gen_cantor_level_below_one_exits_2(tmp_path, capsys, level):
+    code = main(["gen", "--kind", "cantor", "--level", level, "--out", str(tmp_path / "n.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: level must lie in 1..14, got {level}\n"
+    assert not (tmp_path / "n.json").exists()
+
+
 def test_verify_prints_the_configured_tolerance(tmp_path, capsys):
     # The check tolerance is the fixed CHECK_TOL; it is printed and written to --out.
     out_file = tmp_path / "verify.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracmeasure import cantor_net, cycle_metric, random_cloud, uniform_grid
-from fracmeasure.errors import LevelTooLarge
+from fracmeasure.errors import InvalidInput, LevelTooLarge
 
 
 def test_cantor_level_one():
@@ -36,6 +36,13 @@ def test_cantor_resolution_below_min_gap():
 def test_cantor_level_cap():
     with pytest.raises(LevelTooLarge):
         cantor_net(15)
+
+
+@pytest.mark.parametrize("level", [0, -1])
+def test_cantor_level_below_one_is_invalid_input(level):
+    with pytest.raises(InvalidInput, match=r"level must lie in 1\.\.14") as info:
+        cantor_net(level)
+    assert not isinstance(info.value, LevelTooLarge)
 
 
 def test_cantor_parameter_validation():

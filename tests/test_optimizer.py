@@ -388,11 +388,6 @@ def _full_problem(inst):
     return cols, inst.costs[cols], optimizer._incidence(inst.indptr, inst.indices, cols, rows)
 
 
-def _reduction(inst):
-    _, cost, inc = _full_problem(inst)
-    return optimizer._reduce(inc, cost)
-
-
 def _coverable(inc):
     return len(inc.row_ptr) > 1 and bool(np.all(np.diff(inc.row_ptr)))
 
@@ -430,13 +425,15 @@ def test_reduction_drops_only_dominated_columns_and_rows(reduction_instances):
     assert dropped_cols > 1000 and dropped_rows > 100
 
 
-def test_containment_compares_members_beyond_64_rows():
-    # On 128 rows, rows 1 and 65 share a signature bit, as do 2 and 66:
-    # column 0 = {1, 66} passes the signature test against column
-    # 1 = {2, 65, 66}, which holds its rarest row 66 but not row 1.
-    # Columns 2 and 3 make row 1 the commoner, and every row has a dear
-    # singleton column.
+def _check_containment_on_128_rows(shift):
+    # On 128 rows each column is two words, and rows 1 and 65 take the
+    # same bit of their words, as do 2 and 66.  Column 1 = {2, 65, 66}
+    # holds the rarest row 66 of column 0 = {1, 66} but not row 1, and
+    # only the first words show it; with every row shifted by 64, only
+    # the second words do.  Columns 2 and 3 make row 1 the commoner, and
+    # every row has a dear singleton column.
     members = [[1, 66], [2, 65, 66], [1, 3], [1, 4]] + [[r] for r in range(128)]
+    members = [[(r + shift) % 128 for r in c] for c in members]
     cost = np.array([1.0, 1.0, 10.0, 10.0] + [10.0] * 128)
     indptr = np.cumsum([0] + [len(c) for c in members])
     indices = np.concatenate(members)
@@ -446,6 +443,14 @@ def test_containment_compares_members_beyond_64_rows():
     full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
     lp = optimizer._incidence(inc.col_ptr, inc.col_rows, kept, rows)
     assert optimizer._covering_lp(cost[kept], lp.row_ptr, lp.row_cols)[0] == pytest.approx(full)
+
+
+def test_containment_compares_members_beyond_64_rows():
+    _check_containment_on_128_rows(0)
+
+
+def test_containment_compares_the_second_word():
+    _check_containment_on_128_rows(64)
 
 
 def _fresh(inst):
@@ -496,22 +501,85 @@ def test_reduced_solves_cover_and_certify_on_the_full_instance(
         _check_reduced_solves(inst, plain_h)
 
 
-def test_reduction_is_exact_when_every_set_key_collides(monkeypatch, reduction_instances):
-    # Distinct sets of one size then share a bucket, and only the member
-    # comparison can tell them apart.
-    insts = [inst for inst in reduction_instances if len(inst.candidates) >= 64]
-    assert len(insts) > 10
-    want = [(solve_integer(inst), solve_fractional(inst)) for inst in map(_fresh, insts)]
-    reductions = [_reduction(inst) for inst in insts]
-    monkeypatch.setattr(
-        optimizer, "_set_keys", lambda member, ptr, n: np.zeros(len(ptr) - 1, dtype=np.uint64)
-    )
-    for inst, (h, w), (kept, rows) in zip(insts, want, reductions):
-        got_kept, got_rows = _reduction(inst)
-        assert np.array_equal(got_kept, kept) and np.array_equal(got_rows, rows)
-        inst = _fresh(inst)
-        assert solve_integer(inst) == h
-        assert solve_fractional(inst) == w
+def _reference_reduction(inc, cost):
+    """``_reduce`` on frozensets, in its pass order, until no row drops.
+
+    Of identical columns the cheapest stays (ties to the lowest index);
+    a nonempty column strictly inside a kept column of equal or lower
+    cost drops; a row drops when the nonempty column set of another row
+    lies strictly inside its own, or equals it at a lower index.
+    """
+    n, m = len(cost), len(inc.row_ptr) - 1
+    bounds = inc.col_ptr.tolist()
+    members = [frozenset(inc.col_rows[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    cols, rows = set(range(n)), set(range(m))
+    while True:
+        col_sets = {j: members[j] & rows for j in cols}
+        cheapest = {}
+        for j in sorted(cols, key=lambda j: (cost[j], j)):
+            cheapest.setdefault(col_sets[j], j)
+        cols = set(cheapest.values())
+        cols -= {
+            j
+            for j in cols
+            if col_sets[j] and any(col_sets[j] < col_sets[i] and cost[i] <= cost[j] for i in cols)
+        }
+        row_sets = {r: frozenset(j for j in cols if r in col_sets[j]) for r in rows}
+        covering = {
+            b
+            for b in rows
+            if any(
+                row_sets[a] < row_sets[b] or (row_sets[a] == row_sets[b] and a < b)
+                for a in rows
+                if row_sets[a]
+            )
+        }
+        if not covering:
+            return sorted(cols), [r in rows for r in range(m)]
+        rows -= covering
+
+
+def test_reduction_equals_the_frozenset_reference(reduction_instances):
+    checked = 0
+    for inst in reduction_instances:
+        _, cost, inc = _full_problem(inst)
+        if not _coverable(inc):
+            continue
+        kept, rows = optimizer._reduce(inc, cost)
+        assert (kept.tolist(), rows.tolist()) == _reference_reduction(inc, cost)
+        checked += 1
+    assert checked > 80
+
+
+def _cloud(n):
+    space = random_cloud(n, 2, 7)
+    return space, uniform_measure(space)
+
+
+@pytest.fixture(scope="module")
+def multi_word_problems():
+    """Reductions with two to four words per column, and the reference's output."""
+    problems = []
+    for (space, measure), q, delta in (
+        (cantor_net(7), 0.0, 0.5),  # 128 rows
+        (_cloud(80), -1.0, 0.5),  # 80 rows, 72 of them dropped
+        (_cloud(80), 0.0, 0.2),
+        (cantor_net(8), 0.0, 0.05),  # 256 rows
+    ):
+        inst = build_cover_instance(space, measure, q, _CANTOR_GAUGE, space.point_ids, delta)
+        _, cost, inc = _full_problem(inst)
+        problems.append((inc, cost, _reference_reduction(inc, cost)))
+    return problems
+
+
+@pytest.mark.parametrize("chunk", [1, 7, optimizer._CHUNK])
+def test_multi_word_reduction_equals_the_reference_at_any_chunk_size(
+    monkeypatch, multi_word_problems, chunk
+):
+    monkeypatch.setattr(optimizer, "_CHUNK", chunk)
+    for inc, cost, want in multi_word_problems:
+        kept, rows = optimizer._reduce(inc, cost)
+        assert (kept.tolist(), rows.tolist()) == want
 
 
 # --- one prepared instance for H and W ------------------------------------
