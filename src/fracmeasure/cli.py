@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import starmap
 
 # The solvers are looked up on the module at call time, so a wrapper
@@ -258,6 +257,9 @@ def _cmd_sweep(args) -> int:
     loaded = [(path, *_load(path, premeasure_doc)) for path in instances]
     tasks = [(*inst, q, delta) for inst in loaded for q in q_grid for delta in delta_grid]
     if args.jobs > 1:
+        # Imported here: the serial path need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_compute_rows, *zip(*tasks)))
     else:

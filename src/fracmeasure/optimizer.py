@@ -65,6 +65,9 @@ result equals linprog's bit for bit.  HiGHS reporting the LP optimal
 gives the solution, infeasible gives None, and any other status, or a
 HiGHS error, raises NumericalFailure.  The bindings are private API;
 a scipy without them (older than 1.15) fails this module's import.
+They are loaded by the file path of their extension module
+(``_load_highs``), so ``scipy.optimize``'s package init never runs:
+this module imports only the top-level ``scipy`` package.
 
 The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
@@ -95,15 +98,15 @@ CandidateLimitExceeded carrying the proven bound bracket.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-# scipy's bundled HiGHS bindings: private API, present since scipy 1.15,
-# the floor in pyproject.toml.
-from scipy.optimize._highspy import _core as _highs
+import scipy
 
 from .errors import (
     CandidateLimitExceeded,
@@ -566,6 +569,33 @@ def _reduce(inc: _Incidence, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --- shared LP core -----------------------------------------------------
+
+
+def _load_highs():
+    """scipy's bundled HiGHS bindings, the extension module itself.
+
+    ``from scipy.optimize._highspy import _core`` would run all of
+    ``scipy.optimize``'s package init first (linalg, fft, array-api
+    compat), most of the start-up cost, none of which is used here.  So
+    the extension is found by its file path in scipy's tree and loaded
+    alone.  It is the module ``scipy.optimize`` itself loads, should
+    anything import that too.  The bindings are private API, present
+    since scipy 1.15, the floor in pyproject.toml; without them this
+    raises ImportError.
+    """
+    name = "scipy.optimize._highspy._core"
+    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(
+            f"no HiGHS bindings {name} in {where}: fracmeasure needs scipy >= 1.15", name=name
+        )
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
 
 # The options are the ones linprog(method="highs") passes for this LP.
 _HIGHS_OPTIONS = _highs.HighsOptions()

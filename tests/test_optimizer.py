@@ -876,11 +876,23 @@ def test_every_covering_lp_goes_through_the_linprog_name(monkeypatch):
     assert len(runs) > 2 and len(seen) == len(runs)
 
 
-def test_a_scipy_without_the_highs_bindings_fails_the_import():
-    # No silent fallback: blocking the bindings makes the import raise.
+def _python(code, *path):
+    """Run ``code`` in a fresh interpreter with ``path`` and src first on its path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*map(str, path), src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_a_scipy_without_the_highs_bindings_fails_the_import(tmp_path):
+    # No silent fallback: a scipy with no optimize/_highspy, which is what
+    # a scipy older than 1.15 looks like, makes the import raise.
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.1"\n')
     code = (
         "import sys\n"
-        "sys.modules['scipy.optimize._highspy'] = None\n"
         "try:\n"
         "    import fracmeasure.optimizer\n"
         "except ImportError as exc:\n"
@@ -888,14 +900,44 @@ def test_a_scipy_without_the_highs_bindings_fails_the_import():
         "else:\n"
         "    sys.exit('imported without the HiGHS bindings')\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ImportError:") and "_highspy" in proc.stdout
+
+
+def test_the_cli_starts_without_scipy_optimize_or_process_pools():
+    code = (
+        "import sys\n"
+        "import fracmeasure.cli\n"
+        "print([m for m in ('scipy.optimize', 'concurrent.futures.process') if m in sys.modules])\n"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_bindings_are_scipys_own_module_in_either_import_order():
+    # One seeded W solve, printed as the bits of its value and weights.
+    solve = (
+        "import hashlib, math\n"
+        "import numpy as np\n"
+        "from fracmeasure import HausdorffFunction, Premeasure, random_cloud, uniform_measure\n"
+        "from fracmeasure import weighted_premeasure\n"
+        "space = random_cloud(40, 2, 7)\n"
+        "power = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))\n"
+        "w = weighted_premeasure(space, uniform_measure(space), -1.0, power, space.point_ids, 0.3)\n"
+        "print(w.value.hex(), hashlib.sha256(np.array(w.weights).tobytes()).hexdigest())\n"
+    )
+    default = _python(solve)
+    assert default.returncode == 0, default.stderr
+    first = _python(
+        "import sys\n"
+        "import scipy.optimize\n"
+        "from fracmeasure import optimizer\n"
+        "assert optimizer._highs is sys.modules['scipy.optimize._highspy._core']\n" + solve
+    )
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == default.stdout
 
 
 def test_adapter_passes_the_options_linprog_passes(monkeypatch):
