@@ -244,6 +244,7 @@ def _reject_extra(keys, allowed, message: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    jobs = _integer(args.jobs, "--jobs", 1)
     config = read_json_object(args.config, "config")
     keys = {"instances", "premeasure", "q_grid", "delta_grid"}
     _reject_extra(config, keys, "unknown sweep config key(s)")
@@ -256,11 +257,13 @@ def _cmd_sweep(args) -> int:
     q_grid = _numbers(config.get("q_grid", _DEFAULT_Q_GRID), "q_grid")
     loaded = [(path, *_load(path, premeasure_doc)) for path in instances]
     tasks = [(*inst, q, delta) for inst in loaded for q in q_grid for delta in delta_grid]
-    if args.jobs > 1:
+    # A pool forks all its workers at once: start no more than there are cells.
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
         # Imported here: the serial path need not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_compute_rows, *zip(*tasks)))
     else:
         chunks = list(starmap(_compute_rows, tasks))

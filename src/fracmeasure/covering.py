@@ -16,7 +16,7 @@ from .errors import (
     InvalidWeightedCover,
     OptimizerInternalError,
 )
-from .extended import SOLVER_TOL, xdiv, xmul
+from .extended import INF, SOLVER_TOL, xdiv, xmul
 from .metric import (
     Ball,
     FiniteMetricSpace,
@@ -208,10 +208,14 @@ def subfamily_3r_reduction(
         ----------------------------------------
         sum of weight * weight_term over inputs
 
-    which is reported, never asserted against any fixed constant.
+    which is reported, never asserted against any fixed constant.  A
+    weight that is NaN, infinite or negative raises InvalidInput.
     """
     if len(weights) != len(balls):
         raise InvalidInput("weights and balls lengths differ")
+    for w in weights:
+        if not 0.0 <= w < INF:  # also rejects NaN
+            raise InvalidInput(f"weights must be finite and nonnegative, got {w!r}")
     tgt = set(target)
     member_sets = [ball_members(space, b) for b in balls]
     for p in tgt:

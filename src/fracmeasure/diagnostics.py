@@ -138,12 +138,8 @@ def density_upper_bound_check(
     comparison).
     """
     instance = build_cover_instance(space, measure, q, xi, target, delta)
-    if not instance.target:
-        return DensityBoundReport(
-            nu_total=0.0, density_sup=0.0, h_value=0.0, bound=0.0, ok=True, slack=0.0
-        )
     nu_total = float(sum(nu.mass_of(p) for p in instance.target))
-    s = float(xdiv_array(instance.grid.mass(nu), instance.costs).max())
+    s = float(xdiv_array(instance.grid.mass(nu), instance.costs).max(initial=0.0))
     h = solve_integer(instance)
     if s == INF or h.value == INF:
         bound = INF

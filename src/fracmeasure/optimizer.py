@@ -10,8 +10,9 @@ candidate family of ``enumerate_centered_balls``:
   at least 1 over every point of E), the weighted pre-measure, solved as
   a covering LP and certified by an explicit feasible dual.
 
-Conventions: the empty target has value 0; if the finite-cost candidates
-fail to cover E the value is infinity (status ``infeasible-infinite``).
+Conventions: the empty target has value 0 (an instance with no rows, built
+and validated like any other); if the finite-cost candidates fail to
+cover E the value is infinity (status ``infeasible-infinite``).
 Candidates of infinite cost never enter a solution; candidates of zero
 cost are always safe to take.
 
@@ -180,7 +181,7 @@ class CoverInstance:
 
     space: FiniteMetricSpace | ProductSpace
     target: tuple
-    grid: BallGrid | RectangleGrid | None  # None for the empty target
+    grid: BallGrid | RectangleGrid
     indptr: np.ndarray
     indices: np.ndarray
     costs: np.ndarray
@@ -192,8 +193,6 @@ class CoverInstance:
     @cached_property
     def candidates(self) -> tuple:
         grid = self.grid
-        if grid is None:
-            return ()
         return tuple(grid.balls() if isinstance(grid, BallGrid) else grid.rectangles())
 
     @cached_property
@@ -302,17 +301,6 @@ def _from_grid(space, target, grid, incidence, measure, q, xi) -> CoverInstance:
     )
 
 
-def _empty_instance(space) -> CoverInstance:
-    return CoverInstance(
-        space=space,
-        target=(),
-        grid=None,
-        indptr=np.zeros(1, dtype=np.intp),
-        indices=np.zeros(0, dtype=np.intp),
-        costs=np.zeros(0),
-    )
-
-
 def build_cover_instance(
     space: FiniteMetricSpace,
     measure: PointMeasure,
@@ -327,8 +315,6 @@ def build_cover_instance(
     Candidates run by center index, then by radius.
     """
     tgt = _sorted_target(space, target)
-    if not tgt:
-        return _empty_instance(space)
     grid = ball_grid(space, tgt if centers is None else centers, delta)
     return _from_grid(space, tgt, grid, grid.incidence(tgt), measure, q, xi)
 
@@ -351,8 +337,6 @@ def build_product_cover_instance(
     lt = _sorted_target(product.left, left_target)
     rt = _sorted_target(product.right, right_target)
     tgt = tuple((a, b) for a in lt for b in rt)
-    if not tgt:
-        return _empty_instance(product)
     grid = rectangle_grid(product, lt, rt, delta)
     return _from_grid(product, tgt, grid, grid.incidence(lt, rt), pair_measure, q, xi)
 
@@ -687,10 +671,6 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     """
     m = len(instance.target)
     n = len(instance.costs)
-    if m == 0:
-        return FractionalCoverSolution(
-            weights=(), value=0.0, dual={}, gap=0.0, status="optimal"
-        )
     res = instance._residual
     if res is None:  # a point no finite-cost candidate covers
         return FractionalCoverSolution(
@@ -769,8 +749,6 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     may be a different tied optimum than the unreduced search finds, and
     ``nodes`` (the CSV ``nodes`` column) can be lower.
     """
-    if not instance.target:
-        return IntegerCoverSolution(chosen=(), value=0.0, status="optimal", nodes=0)
     res = instance._residual
     if res is None:
         return IntegerCoverSolution(chosen=(), value=INF, status="infeasible-infinite", nodes=0)

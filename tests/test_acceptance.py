@@ -212,8 +212,8 @@ def test_acceptance_09_density_bound_everywhere():
     bad = []
     cases = 0
     singles = (
-        build_mixed_corpus(2024, 500, full_support=False)
-        + build_mixed_corpus(6, 200, full_support=False)
+        build_mixed_corpus(2024, 500)
+        + build_mixed_corpus(6, 200)
         + _doubling_corpus(10, 40)
     )
     for case in singles:

@@ -236,6 +236,69 @@ def test_sweep_worker_error_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+def _sweep_config(tmp_path, delta_grid):
+    inst = tmp_path / "net.json"
+    main(["gen", "--kind", "cantor", "--level", "3", "--out", str(inst)])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps(
+            {"instances": [str(inst)], "premeasure": _POWER, "q_grid": [0.0],
+             "delta_grid": delta_grid}
+        )
+    )
+    return cfg
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, recording_pool, jobs):
+    cfg = _sweep_config(tmp_path, [0.5, 0.25])
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert captured.out == ""
+    assert recording_pool.sizes == []
+
+
+@pytest.mark.parametrize(("delta_grid", "sizes"), [([0.5, 0.25], [2]), ([0.5], [])])
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, recording_pool, delta_grid, sizes):
+    cfg = _sweep_config(tmp_path, delta_grid)
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
+    assert recording_pool.sizes == []
+    assert main(["sweep", "--config", str(cfg), "--out", str(pooled), "--jobs", "64"]) == 0
+    assert recording_pool.sizes == sizes
+    same = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+    assert same(_read_csv(pooled)) == same(_read_csv(serial))
+
+
 def test_verify_exit_codes(capsys):
     # --count sizes the corpus suites; the example-zero chain keeps its 10 cases.
     argv = ["verify", "--suites", "wh-order,example-zero", "--count", "3", "--seed", "1"]

@@ -11,6 +11,7 @@ from fracmeasure import (
     cycle_metric,
     point_measure,
     subfamily_3r_reduction,
+    uniform_grid,
     uniform_measure,
     validate_space,
     vitali_5r_packing,
@@ -120,4 +121,19 @@ def test_3r_reduction_rejects_noncover(five_cycle, unit_constant):
     with pytest.raises(InvalidWeightedCover):
         subfamily_3r_reduction(
             space, [1.0], balls, space.point_ids, measure, 0.0, unit_constant
+        )
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[float("nan")] * 4, [float("inf")] * 4, [float("inf"), 1.0, 1.0, 1.0], [-1.0, 2.0, 2.0, 2.0]],
+)
+def test_3r_reduction_rejects_bad_weights(weights, linear_gauge):
+    # Each of these passes the cover check: the NaN weights would give a
+    # NaN ratio, the infinite ones a ratio of 0, the negative one 0.214.
+    space = uniform_grid(4, 1)
+    balls = [Ball(p, 0.4) for p in space.point_ids]
+    with pytest.raises(InvalidInput, match="finite and nonnegative"):
+        subfamily_3r_reduction(
+            space, weights, balls, space.point_ids, uniform_measure(space), 1.0, linear_gauge
         )

@@ -10,6 +10,7 @@ import pytest
 from fracmeasure import (
     Ball,
     CandidateLimitExceeded,
+    DeltaBelowResolution,
     HausdorffFunction,
     INF,
     InvalidInput,
@@ -23,6 +24,7 @@ from fracmeasure import (
     cantor_net,
     cycle_metric,
     delta_profile,
+    density_upper_bound_check,
     hausdorff_premeasure,
     noncentered_weighted_premeasure,
     point_measure,
@@ -89,6 +91,56 @@ def test_empty_target_is_zero(two_points, linear_gauge):
     w = weighted_premeasure(space, measure, 1.0, linear_gauge, (), 0.6)
     assert h.value == 0.0 and w.value == 0.0
     assert h.chosen == () and w.weights == ()
+
+
+def _empty_target_entry_points(space, measure, xi):
+    """Every public value on an empty target, as a function of (q, delta)."""
+    prod, pair = product_space(space, space), product_measure(measure, measure)
+    pxi, ids = product_premeasure(xi, xi), space.point_ids
+    return {
+        "H": lambda q, d: hausdorff_premeasure(space, measure, q, xi, (), d),
+        "W": lambda q, d: weighted_premeasure(space, measure, q, xi, (), d),
+        "Wtilde": lambda q, d: noncentered_weighted_premeasure(space, measure, q, xi, (), d),
+        "product-left": lambda q, d: product_premeasure_values(prod, pair, q, pxi, (), ids, d),
+        "product-right": lambda q, d: product_premeasure_values(prod, pair, q, pxi, ids, (), d),
+        "profile": lambda q, d: delta_profile(space, measure, q, xi, (), [d]),
+        "density": lambda q, d: density_upper_bound_check(space, measure, q, xi, measure, (), d),
+    }
+
+
+_ENTRY_POINTS = ["H", "W", "Wtilde", "product-left", "product-right", "profile", "density"]
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_empty_target_is_validated_like_any_other(two_points, linear_gauge, entry):
+    call = _empty_target_entry_points(*two_points, linear_gauge)[entry]
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput):
+            call(q, 0.6)
+    for delta in (math.nan, 1e-9):  # the resolution floor is 0.1
+        with pytest.raises(DeltaBelowResolution):
+            call(1.0, delta)
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_a_valid_empty_target_is_zero_on_every_entry_point(two_points, linear_gauge, entry):
+    out = _empty_target_entry_points(*two_points, linear_gauge)[entry](1.0, 0.6)
+    if entry == "profile":
+        (row,) = out.rows
+        assert (row.h_value, row.w_value, row.noncentered_w_value) == (0.0, 0.0, 0.0)
+        return
+    if entry == "density":
+        assert (out.nu_total, out.density_sup, out.h_value, out.bound, out.slack) == (0,) * 5
+        assert out.ok
+        return
+    for sol in out if isinstance(out, tuple) else (out,):
+        assert (sol.value, sol.status) == (0.0, "optimal")
+        if isinstance(sol, optimizer.IntegerCoverSolution):
+            assert (sol.chosen, sol.nodes) == ((), 0)
+        else:
+            assert set(sol.weights) <= {0.0} and sol.dual == {}
+    if entry == "Wtilde":  # one weight per candidate: a resolution ball at each point
+        assert len(out.weights) == 2
 
 
 def test_infeasible_gives_infinity():
@@ -318,6 +370,67 @@ def test_line_integer_matches_fractional_at_root(name, q):
         assert sum(inst.costs[i] for i in h.chosen) == h.value
 
 
+# --- an exact oracle at scale: HiGHS's MIP ----------------------------------
+#
+# scipy.optimize.milp shares none of the reduction, incumbent or branching
+# code, so it checks H on instances far past the brute-force oracle's 20
+# candidates.  It shares HiGHS's LP engine with W, so it is no proof of W.
+
+
+def _milp_value(inst):
+    """H by HiGHS's MIP over the 0/1 finite-cost columns, its cover rechecked."""
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    cols = np.flatnonzero(np.isfinite(inst.costs))
+    ones = np.ones(len(inst.indices))
+    shape = (len(inst.target), len(inst.costs))
+    a = sparse.csc_array((ones, inst.indices, inst.indptr), shape=shape)[:, cols]
+    res = milp(
+        inst.costs[cols],
+        integrality=np.ones(len(cols)),
+        bounds=Bounds(0.0, 1.0),
+        constraints=LinearConstraint(a, lb=1.0),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    chosen = cols[res.x > 0.5]
+    assert _covers(inst, chosen)
+    return sum(inst.costs[chosen].tolist())  # the plain sum, in candidate order
+
+
+def _mip_cell(cell):
+    if cell[0] == "product":  # a 10-point 2-D cloud times an 8-point 1-D one
+        _, q, delta = cell
+        left, right = random_cloud(10, 2, 7), random_cloud(8, 1, 5)
+        pair = product_measure(uniform_measure(left), uniform_measure(right))
+        return build_product_cover_instance(
+            product_space(left, right), pair, q,
+            product_premeasure(_CANTOR_GAUGE, _CANTOR_GAUGE),
+            left.point_ids, right.point_ids, delta,
+        )
+    n, q, delta = cell
+    space = random_cloud(n, 2, 7)
+    return build_cover_instance(
+        space, uniform_measure(space), q, _CANTOR_GAUGE, space.point_ids, delta
+    )
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(n, q, d) for n in (40, 80) for q in (-1.0, 0.0, 1.0) for d in (0.5, 0.2)]
+    + [("product", -1.0, 0.5)],
+    ids=str,
+)
+def test_integer_value_matches_the_mip(cell):
+    inst = _mip_cell(cell)
+    h = solve_integer(inst)
+    assert h.status == "optimal" and _covers(inst, h.chosen)
+    # Tied optima may sum their costs in a different order; H is exact
+    # to within its prune margin.
+    assert abs(h.value - _milp_value(inst)) <= optimizer._PRUNE_REL * max(1.0, h.value)
+
+
 @pytest.mark.parametrize(
     "cloud, q, delta",
     [((16, 2, 3), 0.0, 0.5), ((12, 2, 1), 1.0, 0.5)],
@@ -353,7 +466,7 @@ def test_nonfinite_q_is_rejected(two_points, linear_gauge, solve, q):
 
 def _reduction_instances():
     """The mixed and product corpora and level 3-6 nets, as cover instances."""
-    for case in build_mixed_corpus(7, 40, full_support=False):
+    for case in build_mixed_corpus(7, 40):
         yield build_cover_instance(
             case.space, case.measure, case.q, case.xi, case.target, case.delta
         )
@@ -591,7 +704,7 @@ def _shared_instances():
     Mixed-corpus cases with q > 0 and partial support, where zero-cost
     candidates occur; the product corpus; level 3-8 nets.
     """
-    for case in build_mixed_corpus(5, 120, full_support=False):
+    for case in build_mixed_corpus(5, 120):
         if case.q > 0:
             inst = build_cover_instance(
                 case.space, case.measure, case.q, case.xi, case.target, case.delta
