@@ -406,6 +406,20 @@ class BallGrid(NamedTuple):
         out[np.nonzero(inside)[0], self.order[self.row][inside]] = 1.0
         return out
 
+    def dilate(self, factor: float) -> BallGrid:
+        """The same candidates with every radius times ``factor``, as :func:`dilate` makes them.
+
+        The rows of ``order`` run over the whole space, and each length
+        counts the points within the new radius.
+        """
+        dist = self.space.dist[self.centers]
+        radius = self.radius * factor
+        return self._replace(
+            order=np.argsort(dist, axis=1, kind="stable"),
+            radius=radius,
+            length=np.count_nonzero(dist[self.row] <= radius[:, None], axis=1),
+        )
+
     def incidence(self, target: Sequence) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the members in ``target``, as positions in it."""
         positions = np.full(self.space.n, -1, dtype=np.intp)

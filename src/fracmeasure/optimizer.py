@@ -61,11 +61,15 @@ cost would not pay off.
 
 Every covering LP (the shared root LP and each later node bound of the
 integer search) goes through ``_covering_lp``, one direct call into
-scipy's bundled HiGHS bindings with the options linprog passes, so each
-result equals linprog's bit for bit.  HiGHS reporting the LP optimal
-gives the solution, infeasible gives None, and any other status, or a
-HiGHS error, raises NumericalFailure.  The bindings are private API;
-a scipy without them (older than 1.15) fails this module's import.
+scipy's bundled HiGHS bindings with the options linprog passes and the
+matrix by columns, rows ascending in each, as linprog hands it over, so
+each result equals linprog's bit for bit.  That is the column side of the
+residual incidence (``_Incidence``), which ``_incidence`` alone puts in
+order; the reduction and the node LPs read it too, and nothing sorts or
+transposes it again.  HiGHS reporting the LP optimal gives the
+solution, infeasible gives None, and any other status, or a HiGHS
+error, raises NumericalFailure.  The bindings are private API; a scipy
+without them (older than 1.15) fails this module's import.
 They are loaded by the file path of their extension module
 (``_load_highs``), so ``scipy.optimize``'s package init never runs:
 this module imports only the top-level ``scipy`` package.
@@ -227,7 +231,7 @@ class CoverInstance:
         if len(cols) >= _REDUCE_MIN_COLS:
             # Reduce, then keep the kept columns that still meet a kept row.
             kept, kept_rows = _reduce(inc, costs[cols])
-            gain = np.bincount(inc.row_cols[kept_rows[inc.row_of]], minlength=len(cols))
+            gain = np.bincount(inc.col_of[kept_rows[inc.col_rows]], minlength=len(cols))
             kept = kept[gain[kept] > 0]
             inc, cols = _incidence(inc.col_ptr, inc.col_rows, kept, kept_rows), cols[kept]
             rows[rows] = kept_rows
@@ -244,7 +248,7 @@ class CoverInstance:
         res = self._residual
         if not len(res.rows):
             return 0.0, np.zeros(0), np.zeros(0)
-        return linprog(self.costs[res.cols], res.inc.row_ptr, res.inc.row_cols)
+        return linprog(self.costs[res.cols], res.inc.col_ptr, res.inc.col_rows, len(res.rows))
 
 
 @dataclass(frozen=True)
@@ -344,14 +348,16 @@ def build_product_cover_instance(
 class _Incidence(NamedTuple):
     """A 0/1 matrix of target rows by columns, stored by columns and by rows.
 
-    Column ``j`` covers the rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``;
-    row ``k`` is covered by the columns
+    Column ``j`` covers the rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``,
+    ascending, and ``col_of`` holds the column of each entry of
+    ``col_rows``; row ``k`` is covered by the columns
     ``row_cols[row_ptr[k]:row_ptr[k + 1]]``, ascending, and ``row_of``
     holds the row of each entry of ``row_cols``.
     """
 
     col_ptr: np.ndarray
     col_rows: np.ndarray
+    col_of: np.ndarray
     row_ptr: np.ndarray
     row_cols: np.ndarray
     row_of: np.ndarray
@@ -386,26 +392,31 @@ def _incidence(
 ) -> _Incidence:
     """The incidence of the columns ``cols`` of a CSR matrix on the rows marked in ``rows``.
 
-    Column ``j`` holds the rows ``indices[indptr[j]:indptr[j + 1]]``.  The
-    result has the columns ``cols`` in that order and the marked rows,
-    renumbered in ascending order.
+    Column ``j`` holds the rows ``indices[indptr[j]:indptr[j + 1]]``, in
+    any order.  The result has the columns ``cols`` in that order and the
+    marked rows, renumbered in ascending order, and both of its sides
+    sorted; no other function orders incidence entries.
     """
     m = int(np.count_nonzero(rows))
     starts = indptr[cols]
     counts = indptr[cols + 1] - starts
     col_rows = take_segments(indices, starts, counts)
+    col_of = np.repeat(np.arange(len(cols)), counts)
     if m < len(rows):
         keep = rows[col_rows]
-        owner = np.repeat(np.arange(len(cols)), counts)[keep]
-        counts = np.bincount(owner, minlength=len(cols))
+        col_of = col_of[keep]
+        counts = np.bincount(col_of, minlength=len(cols))
         col_rows = (np.cumsum(rows) - 1)[col_rows[keep]]
+    # Stable sorts: by row gives (row, column), then by column (column, row).
     by_row = _stable_order(col_rows, m)
+    row_cols, row_of = col_of[by_row], col_rows[by_row]
     return _Incidence(
         col_ptr=csr_offsets(counts),
-        col_rows=col_rows,
+        col_rows=row_of[_stable_order(row_cols, len(cols))],
+        col_of=col_of,
         row_ptr=csr_offsets(np.bincount(col_rows, minlength=m)),
-        row_cols=np.repeat(np.arange(len(cols)), counts)[by_row],
-        row_of=col_rows[by_row],
+        row_cols=row_cols,
+        row_of=row_of,
     )
 
 
@@ -518,8 +529,7 @@ def _reduce(inc: _Incidence, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     covers every row and is an optimum of the whole one.
     """
     n, m = len(cost), len(inc.row_ptr) - 1
-    by_col = _stable_order(inc.row_cols, n)
-    col, col_row = inc.row_cols[by_col], inc.row_of[by_col]  # sorted by (column, row)
+    col, col_row = inc.col_of, inc.col_rows  # sorted by (column, row)
     row, row_col = inc.row_of, inc.row_cols  # sorted by (row, column)
     cols, rows = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
     while True:
@@ -600,27 +610,21 @@ _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
-    """Solve min c.x, x >= 0, with the x of each row's columns summing to >= 1.
+def _covering_lp(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m: int):
+    """Solve min c.x, x >= 0, the x of each row's columns summing to >= 1, on ``m`` rows.
 
-    The 0/1 constraint matrix is given by rows: row ``k`` holds the
-    columns ``row_cols[row_ptr[k]:row_ptr[k + 1]]``, ascending.  Returns
+    The 0/1 constraint matrix is given by columns: column ``j`` holds the
+    rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``, ascending.  Returns
     (value, x, y) with y the dual potentials of the row constraints when
     HiGHS reports the LP optimal, and None when it reports it
     infeasible.  Any other model status, or an error from HiGHS, raises
     NumericalFailure naming the status.
 
-    HiGHS gets the LP as ``-A x <= -1`` with ``A`` by columns, rows
-    ascending in each, as linprog hands it over, and a fresh model per
-    call, so every solve starts cold and the result is the one linprog
-    gives, bit for bit.
+    HiGHS gets the LP as ``-A x <= -1``, with these arrays as int32, as
+    linprog hands it over, and a fresh model per call, so every solve
+    starts cold and the result is the one linprog gives, bit for bit.
     """
-    m, n, nnz = len(row_ptr) - 1, len(costs), len(row_cols)
-    # A stable sort by column keeps each column's rows ascending.
-    rows = np.repeat(np.arange(m, dtype=np.int32), np.diff(row_ptr))
-    rows = rows[_stable_order(row_cols, n)]
-    col_ptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row_cols, minlength=n), out=col_ptr[1:])
+    n, nnz = len(costs), len(col_rows)
     model = _highs._Highs()
     if (
         model.passOptions(_HIGHS_OPTIONS) == _HIGHS_ERROR
@@ -630,7 +634,8 @@ def _covering_lp(costs: np.ndarray, row_ptr: np.ndarray, row_cols: np.ndarray):
             n, m, nnz, _COLWISE, _MINIMIZE, 0.0,
             costs, np.zeros(n), np.full(n, _HIGHS_INF),
             np.full(m, -_HIGHS_INF), np.full(m, -1.0),
-            col_ptr, rows, np.full(nnz, -1.0), np.zeros(n, dtype=np.int32),
+            col_ptr.astype(np.int32), col_rows.astype(np.int32), np.full(nnz, -1.0),
+            np.zeros(n, dtype=np.int32),
         ) == _HIGHS_ERROR
         or model.run() == _HIGHS_ERROR
     ):
@@ -794,50 +799,45 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     nodes = 0
     root_lower = 0.0
 
-    def lp_bound(rem: np.ndarray, keep: np.ndarray, live: np.ndarray):
+    def lp_bound(rem: np.ndarray, keep: np.ndarray):
         """Certified LP lower bound, and the LP's picks when they are integral.
 
-        ``keep`` marks the entries (by rows) of allowed columns on rows
-        of ``rem``; ``live`` counts them per row.  The picks are returned
-        only when they cover ``rem``.  At the root every column and row
-        is in, so its LP is the instance's shared ``_root_lp``.
+        The node LP is cut out of the column side of ``inc``: ``keep``
+        marks the entries of allowed columns on rows of ``rem``, and the
+        rows of ``rem`` are renumbered in ascending order.  The picks are
+        returned only when they cover ``rem``.  At the root every column
+        and row is in, so its LP is the instance's shared ``_root_lp``.
         """
+        owner = inc.col_of[keep]
+        rows = (np.cumsum(rem) - 1)[inc.col_rows[keep]]
+        counts = np.bincount(owner, minlength=n)
+        cols = np.flatnonzero(counts)
         if nodes == 1:
-            cols, row_ptr, row_cols = np.arange(n), inc.row_ptr, inc.row_cols
             out = instance._root_lp  # x in candidate order
             if out is not None:
                 out = out[0], out[1][by_gain], out[2]
+        elif not cols.size:
+            return INF, None
         else:
-            in_lp = np.zeros(n, dtype=bool)
-            in_lp[inc.row_cols[keep]] = True
-            cols = np.flatnonzero(in_lp)
-            if not cols.size:
-                return INF, None
-            row_ptr = csr_offsets(live[rem])
-            row_cols = (np.cumsum(in_lp) - 1)[inc.row_cols[keep]]
-            out = linprog(cost[cols], row_ptr, row_cols)
-        costs_arr = cost[cols]
+            out = linprog(cost[cols], csr_offsets(counts[cols]), rows, int(np.count_nonzero(rem)))
         if out is None:
             return INF, None
         _, x, y = out
-        row_of = np.repeat(np.arange(len(row_ptr) - 1), np.diff(row_ptr))
         integral = None
         if np.all(np.abs(x - np.round(x)) <= _INTEGRAL_TOL):
-            picks = x > 0.5
-            hit = np.zeros(len(row_ptr) - 1, dtype=bool)
-            hit[row_of[picks[row_cols]]] = True
+            picks = np.zeros(n, dtype=bool)
+            picks[cols] = x > 0.5
+            hit = np.zeros(len(y), dtype=bool)
+            hit[rows[picks[owner]]] = True
             if hit.all():
-                integral = cols[picks]
+                integral = np.flatnonzero(picks)
         # Certified bound by weak duality: scale the dual so every
         # column sum sits below its cost, making the dual objective a
         # true lower bound regardless of solver rounding.
-        sums = np.bincount(row_cols, weights=y[row_of], minlength=len(cols))
+        sums = np.bincount(owner, weights=y[rows], minlength=n)[cols]
+        costs_arr = cost[cols]
         over = sums > costs_arr
-        lam = 1.0
-        if over.any():
-            if np.any(costs_arr[over] <= 0.0):
-                return 0.0, integral
-            lam = min(lam, float(np.min(costs_arr[over] / sums[over])))
+        lam = float(np.min(costs_arr[over] / sums[over])) if over.any() else 1.0
         return lam * float(y.sum()) * (1.0 - 1e-12), integral
 
     def visit(rem: np.ndarray, cost_so_far: float, chosen: list[int]) -> None:
@@ -852,9 +852,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         lb = sum(cheapest[k] for k in rows.tolist()) / maxcov
         if pruned(cost_so_far + lb):
             return
-        keep = rem[inc.row_of] & ~banned[inc.row_cols]
-        live = np.bincount(inc.row_of[keep], minlength=m)
-        lp_lb, integral = lp_bound(rem, keep, live)
+        keep = rem[inc.col_rows] & ~banned[inc.col_of]
+        lp_lb, integral = lp_bound(rem, keep)
         if integral is not None:  # an integral LP solution that covers
             record(chosen + integral.tolist())
         lb = max(lb, lp_lb)
@@ -862,9 +861,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             root_lower = cost_so_far + lb
         if pruned(cost_so_far + lb):
             return
-        alive = live[rows]
-        if not alive.all():
-            return  # this branch cannot cover some point
+        # A row of rem with no allowed column made the node LP infeasible and pruned it.
+        alive = np.bincount(inc.col_rows[keep], minlength=m)[rows]
         pick = int(rows[np.argmin(alive)])
         tried: list[int] = []
         try:

@@ -45,15 +45,13 @@ from .covering import (
 )
 from .diagnostics import density_upper_bound_check
 from .errors import InvalidInput, SuiteUnknown
-from .extended import CHECK_TOL, INF, SOLVER_TOL, xdiv
+from .extended import CHECK_TOL, INF, SOLVER_TOL, xdiv_array
 from .generators import cantor_net, cycle_metric, random_cloud, uniform_grid
 from .metric import (
     Ball,
     FiniteMetricSpace,
     PointMeasure,
     ball_mass,
-    dilate,
-    enumerate_centered_balls,
     point_measure,
     product_measure,
     product_space,
@@ -74,7 +72,7 @@ from .premeasure import (
     Premeasure,
     hxh_premeasure,
     product_premeasure,
-    weight_term,
+    weight_terms,
 )
 
 __all__ = [
@@ -693,12 +691,13 @@ def suite_lemma_8c(count: int = 40, seed: int = 0) -> SuiteReport:
     )
     for case in _doubling_corpus(seed, count):
         report.cases += 1
-        c3 = 0.0
-        for b in enumerate_centered_balls(case.space, case.target, case.delta):
-            num = weight_term(case.space, case.measure, case.q, case.xi, dilate(b, 3.0))
-            den = weight_term(case.space, case.measure, case.q, case.xi, b)
-            c3 = max(c3, xdiv(num, den))
-        w, h = _w_and_h(case.space, case.measure, case.q, case.xi, case.target, case.delta)
+        inst = optimizer.build_cover_instance(
+            case.space, case.measure, case.q, case.xi, case.target, case.delta
+        )
+        num = weight_terms(inst.grid.dilate(3.0), case.measure, case.q, case.xi)
+        c3 = float(xdiv_array(num, inst.costs).max(initial=0.0))
+        w = optimizer.solve_fractional(inst).value
+        h = optimizer.solve_integer(inst).value
         bound = INF if (c3 == INF or math.isinf(w)) else 8.0 * c3 * w
         if not _le(h, bound, SOLVER_TOL):
             report.violations.append(

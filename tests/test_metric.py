@@ -167,6 +167,19 @@ def test_ball_mass_equals_the_grid_mass_bit_for_bit():
         assert ball_mass(space, measure, ball) == m
 
 
+def test_a_dilated_grid_holds_the_dilated_balls():
+    space, measure = _cloud_with_random_masses()
+    grid = ball_grid(space, space.point_ids[::3], 0.2)
+    wide = grid.dilate(3.0)
+    balls = wide.balls()
+    assert balls == [dilate(b, 3.0) for b in grid.balls()]
+    assert wide.length.max() > grid.order.shape[1]  # beyond the undilated cut
+    for j, (ball, m) in enumerate(zip(balls, wide.mass(measure).tolist())):
+        members = wide.order[wide.row[j], : wide.length[j]].tolist()
+        assert {space.point_ids[i] for i in members} == ball_members(space, ball)
+        assert ball_mass(space, measure, ball) == m
+
+
 def test_rectangle_mass_sums_in_row_major_order():
     space, measure = _cloud_with_random_masses()
     left = validate_space(dist=space.dist[:6, :6], epsilon_net=space.epsilon_net)

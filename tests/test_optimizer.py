@@ -399,10 +399,15 @@ def _milp_value(inst):
     return sum(inst.costs[chosen].tolist())  # the plain sum, in candidate order
 
 
+# The factor clouds of the product cells.  In "deep-product" node LPs,
+# not the root, decide the search: it takes 1,565 nodes.
+_MIP_PRODUCTS = {"product": ((10, 2, 7), (8, 1, 5)), "deep-product": ((12, 2, 7), (6, 1, 1))}
+
+
 def _mip_cell(cell):
-    if cell[0] == "product":  # a 10-point 2-D cloud times an 8-point 1-D one
-        _, q, delta = cell
-        left, right = random_cloud(10, 2, 7), random_cloud(8, 1, 5)
+    if cell[0] in _MIP_PRODUCTS:
+        kind, q, delta = cell
+        left, right = (random_cloud(*factor) for factor in _MIP_PRODUCTS[kind])
         pair = product_measure(uniform_measure(left), uniform_measure(right))
         return build_product_cover_instance(
             product_space(left, right), pair, q,
@@ -419,7 +424,7 @@ def _mip_cell(cell):
 @pytest.mark.parametrize(
     "cell",
     [(n, q, d) for n in (40, 80) for q in (-1.0, 0.0, 1.0) for d in (0.5, 0.2)]
-    + [("product", -1.0, 0.5)],
+    + [("product", -1.0, 0.5), ("deep-product", -1.0, 0.5)],
     ids=str,
 )
 def test_integer_value_matches_the_mip(cell):
@@ -505,6 +510,11 @@ def _coverable(inc):
     return len(inc.row_ptr) > 1 and bool(np.all(np.diff(inc.row_ptr)))
 
 
+def _lp_value(cost, inc):
+    """The covering LP value of an incidence, posed by its columns."""
+    return optimizer._covering_lp(cost, inc.col_ptr, inc.col_rows, len(inc.row_ptr) - 1)[0]
+
+
 def test_reduction_drops_only_dominated_columns_and_rows(reduction_instances):
     dropped_cols = dropped_rows = 0
     for inst in reduction_instances:
@@ -529,9 +539,8 @@ def test_reduction_drops_only_dominated_columns_and_rows(reduction_instances):
             # holds every kept column of some kept row
             assert any(row_sets[k] <= row_sets[r] for k in np.flatnonzero(rows).tolist())
         # the reduced LP has the full LP's value
-        full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
         lp = optimizer._incidence(inc.col_ptr, inc.col_rows, kept, rows)
-        reduced = optimizer._covering_lp(cost[kept], lp.row_ptr, lp.row_cols)[0]
+        full, reduced = _lp_value(cost, inc), _lp_value(cost[kept], lp)
         assert abs(reduced - full) <= SOLVER_TOL * max(1.0, full)
         dropped_cols += int((~cols).sum())
         dropped_rows += int((~rows).sum())
@@ -553,9 +562,8 @@ def _check_containment_on_128_rows(shift):
     inc = optimizer._incidence(indptr, indices, np.arange(len(cost)), np.ones(128, dtype=bool))
     kept, rows = optimizer._reduce(inc, cost)
     assert 0 in kept and 1 in kept
-    full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
     lp = optimizer._incidence(inc.col_ptr, inc.col_rows, kept, rows)
-    assert optimizer._covering_lp(cost[kept], lp.row_ptr, lp.row_cols)[0] == pytest.approx(full)
+    assert _lp_value(cost[kept], lp) == pytest.approx(_lp_value(cost, inc))
 
 
 def test_containment_compares_members_beyond_64_rows():
@@ -582,7 +590,7 @@ def _check_reduced_solves(inst, plain_h):
     assert _covers(inst, h.chosen)
     assert sum(inst.costs[i] for i in h.chosen) == h.value
     _, cost, inc = _full_problem(inst)
-    full = optimizer._covering_lp(cost, inc.row_ptr, inc.row_cols)[0]
+    full = _lp_value(cost, inc)
     assert abs(w.value - full) <= SOLVER_TOL * max(1.0, full)
     _check_certified_on_the_full_instance(inst, w)
 
@@ -833,6 +841,14 @@ def test_stable_order_in_small_keys_equals_the_int64_order(monkeypatch):
         for rows in (np.ones(m, dtype=bool), rng.random(m) < 0.9):
             cases.append((indptr, indices, cols, rows))
     got = [optimizer._incidence(*case) for case in cases]
+    for inc in got:
+        # The column side runs by (column, row), and holds the row side's entries.
+        n = len(inc.col_ptr) - 1
+        assert np.array_equal(inc.col_of, np.repeat(np.arange(n), np.diff(inc.col_ptr)))
+        by_col = inc.col_of * len(inc.row_ptr) + inc.col_rows
+        assert np.all(np.diff(by_col) > 0)
+        by_row = np.sort(inc.col_rows * n + inc.col_of)
+        assert np.array_equal(by_row, inc.row_of * n + inc.row_cols)
     monkeypatch.setattr(
         optimizer, "_stable_order", lambda ids, n: np.argsort(ids.astype(np.int64), kind="stable")
     )
@@ -850,17 +866,19 @@ def test_stable_order_in_small_keys_equals_the_int64_order(monkeypatch):
 # bindings.  It must give what linprog gives, bit for bit.
 
 
-def _linprog_reference(costs, row_ptr, row_cols):
-    """The covering LP as the solvers posed it to linprog before the direct adapter."""
+def _linprog_reference(costs, col_ptr, col_rows, m):
+    """The covering LP as the solvers posed it to linprog before the direct adapter.
+
+    ``A_ub`` is the CSR matrix scipy.sparse builds from the column form.
+    """
     from scipy import sparse
     from scipy.optimize import linprog
 
-    m = len(row_ptr) - 1
     res = linprog(
         c=costs,
-        A_ub=sparse.csr_matrix(
-            (np.full(len(row_cols), -1.0), row_cols, row_ptr), shape=(m, len(costs))
-        ),
+        A_ub=sparse.csc_matrix(
+            (np.full(len(col_rows), -1.0), col_rows, col_ptr), shape=(m, len(costs))
+        ).tocsr(),
         b_ub=-np.ones(m),
         bounds=(0, None),
         method="highs",
@@ -915,9 +933,9 @@ def recorded_lps():
     lps = []
     solve = optimizer.linprog
 
-    def record(*lp):
-        lps.append(tuple(a.copy() for a in lp))
-        return solve(*lp)
+    def record(costs, col_ptr, col_rows, m):
+        lps.append((costs.copy(), col_ptr.copy(), col_rows.copy(), m))
+        return solve(costs, col_ptr, col_rows, m)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "linprog", record)
@@ -944,13 +962,13 @@ def test_adapter_equals_linprog_bit_for_bit(lp_route, recorded_lps):
 
 
 def test_adapter_reports_an_empty_row_infeasible(lp_route):
-    # row 1 has no column, so nothing can cover it
-    assert optimizer._covering_lp(np.ones(2), np.array([0, 2, 2]), np.array([0, 1])) is None
+    # both columns hold row 0 only, so nothing can cover row 1
+    assert optimizer._covering_lp(np.ones(2), np.array([0, 1, 2]), np.array([0, 0]), 2) is None
 
 
 def test_adapter_raises_on_an_unbounded_lp(lp_route):
     with pytest.raises(NumericalFailure) as failure:
-        optimizer._covering_lp(np.array([-1.0, 1.0]), np.array([0, 2]), np.array([0, 1]))
+        optimizer._covering_lp(np.array([-1.0, 1.0]), np.array([0, 1, 2]), np.array([0, 0]), 1)
     # a status failure has no primal/dual bracket and is not worded as a gap
     assert "kUnbounded" in str(failure.value)
     assert "duality gap" not in str(failure.value)
@@ -1063,7 +1081,7 @@ def test_adapter_passes_the_options_linprog_passes(monkeypatch):
             return super().run()
 
     monkeypatch.setattr(core, "_Highs", Spy)  # the class linprog's wrapper and the adapter make
-    lp = (np.ones(2), np.array([0, 2]), np.array([0, 1]))
+    lp = (np.ones(2), np.array([0, 1, 2]), np.array([0, 0]), 1)
     _linprog_reference(*lp)
     optimizer._covering_lp(*lp)
     via_linprog, direct = seen
