@@ -54,8 +54,10 @@ def read_instance(path) -> tuple[FiniteMetricSpace, PointMeasure]:
             raise ConfigParseError(f"instance file {path} lacks key {key!r}")
     if not isinstance(doc["measure"], dict):
         raise ConfigParseError(f"instance file {path}: measure must be an object")
+    ids = doc["points"]
+    if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
+        raise ConfigParseError(f"instance file {path}: points must be a list of strings")
     try:
-        ids = tuple(doc["points"])
         epsilon_net = float(doc["epsilon_net"])
         masses = {p: float(m) for p, m in doc["measure"].items()}
         kwargs = {
@@ -65,5 +67,5 @@ def read_instance(path) -> tuple[FiniteMetricSpace, PointMeasure]:
         raise ConfigParseError(f"instance file {path}: {exc}") from exc
     if not kwargs:
         raise ConfigParseError(f"instance file {path} needs 'dist' or 'coords'")
-    space = validate_space(epsilon_net=epsilon_net, point_ids=ids, **kwargs)
+    space = validate_space(epsilon_net=epsilon_net, point_ids=tuple(ids), **kwargs)
     return space, point_measure(space, masses)

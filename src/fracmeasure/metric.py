@@ -167,8 +167,10 @@ def validate_space(
 ) -> FiniteMetricSpace:
     """Check every space invariant and return the validated space.
 
-    Accepts a raw distance matrix, coordinate rows (Euclidean), or both
-    (then their consistency is checked to 1e-12).  All violations are
+    Accepts a raw distance matrix, coordinate rows (Euclidean; 1-D
+    coordinates are one number per point, and coordinates of any other
+    rank than 1 or 2 raise InvalidInput), or both (then their
+    consistency is checked to 1e-12).  All violations are
     collected and raised together in one SpaceValidationError; a NaN or
     infinite distance ends the scan early, since the later checks mean
     nothing on it.
@@ -180,6 +182,8 @@ def validate_space(
     c_arr = None
     if coords is not None:
         c_arr = np.asarray(coords, dtype=float)
+        if c_arr.ndim not in (1, 2):
+            raise InvalidInput(f"coords must be 1-D or 2-D, got {c_arr.ndim}-D")
         if c_arr.ndim == 1:
             c_arr = c_arr[:, None]
         diff = c_arr[:, None, :] - c_arr[None, :, :]

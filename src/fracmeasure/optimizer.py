@@ -84,12 +84,17 @@ its bound reaches the incumbent value less the relative margin
 true optimum by at most ``_PRUNE_REL * max(1, H)``, far below
 SOLVER_TOL.  The margin is relative because the certified bound is
 shrunk relatively; an absolute margin would never let a tight bound
-prune once H > 1.  The first incumbent is the greedy cover.  Whenever a
-node's LP solution is integral (always so on a line, where the
-incidence is an interval matrix and hence totally unimodular), its
-support joined with the node's picks is checked against the incidence
-and, if it covers, offered as an incumbent valued by the plain sum of
-its costs, never by the LP objective.  Branching picks the uncovered
+prune once H > 1.  Every incumbent is rounded from a node's LP
+solution (``_round_to_cover``): its support, the columns with positive
+weight, is checked to cover the node's rows against the incidence, and
+then loses its redundant columns, most expensive first (ties in the
+search order).  Joined with the node's picks, the rest is offered as
+an incumbent valued by the plain sum of its costs, never by the LP
+objective.  An integral LP optimum has no redundant column, so there
+the incumbent is the LP's own picks; that is always so on a line,
+where the incidence is an interval matrix and hence totally
+unimodular, and whenever H = W the root LP decides H at one node.
+Branching picks the uncovered
 point covered by the fewest still-allowed candidates and tries its
 candidates in the search order: descending coverage of the residual
 rows per unit cost, ties by candidate index, which is lexicographic
@@ -165,7 +170,6 @@ _NODE_LIMIT = 2**30
 # Relative prune margin: strictly above the 1e-12 relative shrink of the
 # certified LP bound, so a tight bound prunes, and far below SOLVER_TOL.
 _PRUNE_REL = 1e-11
-_INTEGRAL_TOL = 1e-9  # LP solution entries this close to an integer count as integral
 
 
 # --- instances ----------------------------------------------------------
@@ -720,28 +724,29 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
 # --- integer solver -----------------------------------------------------
 
 
-def _greedy_cover(cost: np.ndarray, inc: _Incidence, rem: np.ndarray) -> list[int] | None:
-    """Deterministic greedy incumbent: max new coverage per unit cost.
+def _round_to_cover(x, cost, col_ptr, col_rows, m) -> list[int] | None:
+    """A covering LP solution rounded to a cover: its support, less its redundant columns.
 
-    Columns are in the search order and ``rem`` marks the rows still to
-    cover.  Ties go to the first column in that order.  Gains are kept
-    up to date incrementally.
+    The LP is in ``_covering_lp``'s form, column ``j`` holding the rows
+    ``col_rows[col_ptr[j]:col_ptr[j + 1]]`` of ``m``, and ``x`` is its
+    solution.  The columns with ``x > 0`` cover every row of a feasible
+    LP; of them, the most expensive go first (ties in column order), each
+    dropped while every row it holds stays covered by another.  None
+    when the support misses a row, which only solver rounding can cause.
     """
-    rem = rem.copy()
-    gain = np.bincount(inc.row_cols[rem[inc.row_of]], minlength=len(cost))
-    picks: list[int] = []
-    while rem.any():
-        p = int(np.argmax(gain / cost))
-        if gain[p] == 0:
-            return None
-        picks.append(p)
-        new = inc.col_rows[inc.col_ptr[p] : inc.col_ptr[p + 1]]
-        new = new[rem[new]]
-        rem[new] = False
-        starts = inc.row_ptr[new]
-        hit = take_segments(inc.row_cols, starts, inc.row_ptr[new + 1] - starts)
-        gain -= np.bincount(hit, minlength=len(cost))
-    return picks
+    support = np.flatnonzero(x > 0.0)
+    starts = col_ptr[support]
+    hits = np.bincount(take_segments(col_rows, starts, col_ptr[support + 1] - starts), minlength=m)
+    if not hits.all():
+        return None
+    cover = []
+    for j in support[np.argsort(-cost[support], kind="stable")].tolist():
+        held = col_rows[col_ptr[j] : col_ptr[j + 1]]
+        if hits[held].min() > 1:
+            hits[held] -= 1
+        else:
+            cover.append(j)
+    return cover
 
 
 def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> IntegerCoverSolution:
@@ -790,28 +795,24 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             return bound == INF
         return bound >= best_val - _PRUNE_REL * max(1.0, best_val)
 
-    g = _greedy_cover(cost, inc, uncovered)
-    if g is None:  # unreachable: coverage was checked above
-        raise OptimizerInternalError("greedy failed on a coverable instance")
-    record(g)
-
     banned = np.zeros(n, dtype=bool)
     nodes = 0
     root_lower = 0.0
 
     def lp_bound(rem: np.ndarray, keep: np.ndarray):
-        """Certified LP lower bound, and the LP's picks when they are integral.
+        """Certified LP lower bound, and the LP solution rounded to a cover of ``rem``.
 
         The node LP is cut out of the column side of ``inc``: ``keep``
         marks the entries of allowed columns on rows of ``rem``, and the
-        rows of ``rem`` are renumbered in ascending order.  The picks are
-        returned only when they cover ``rem``.  At the root every column
-        and row is in, so its LP is the instance's shared ``_root_lp``.
+        rows of ``rem`` are renumbered in ascending order.  At the root
+        every column and row is in, so its LP is the instance's shared
+        ``_root_lp``.
         """
         owner = inc.col_of[keep]
         rows = (np.cumsum(rem) - 1)[inc.col_rows[keep]]
         counts = np.bincount(owner, minlength=n)
         cols = np.flatnonzero(counts)
+        costs_arr, ptr = cost[cols], csr_offsets(counts[cols])
         if nodes == 1:
             out = instance._root_lp  # x in candidate order
             if out is not None:
@@ -819,26 +820,18 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         elif not cols.size:
             return INF, None
         else:
-            out = linprog(cost[cols], csr_offsets(counts[cols]), rows, int(np.count_nonzero(rem)))
+            out = linprog(costs_arr, ptr, rows, int(np.count_nonzero(rem)))
         if out is None:
             return INF, None
         _, x, y = out
-        integral = None
-        if np.all(np.abs(x - np.round(x)) <= _INTEGRAL_TOL):
-            picks = np.zeros(n, dtype=bool)
-            picks[cols] = x > 0.5
-            hit = np.zeros(len(y), dtype=bool)
-            hit[rows[picks[owner]]] = True
-            if hit.all():
-                integral = np.flatnonzero(picks)
+        cover = _round_to_cover(x, costs_arr, ptr, rows, len(y))
         # Certified bound by weak duality: scale the dual so every
         # column sum sits below its cost, making the dual objective a
         # true lower bound regardless of solver rounding.
         sums = np.bincount(owner, weights=y[rows], minlength=n)[cols]
-        costs_arr = cost[cols]
         over = sums > costs_arr
         lam = float(np.min(costs_arr[over] / sums[over])) if over.any() else 1.0
-        return lam * float(y.sum()) * (1.0 - 1e-12), integral
+        return lam * float(y.sum()) * (1.0 - 1e-12), None if cover is None else cols[cover].tolist()
 
     def visit(rem: np.ndarray, cost_so_far: float, chosen: list[int]) -> None:
         nonlocal nodes, root_lower
@@ -853,9 +846,9 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         if pruned(cost_so_far + lb):
             return
         keep = rem[inc.col_rows] & ~banned[inc.col_of]
-        lp_lb, integral = lp_bound(rem, keep)
-        if integral is not None:  # an integral LP solution that covers
-            record(chosen + integral.tolist())
+        lp_lb, cover = lp_bound(rem, keep)
+        if cover is not None:
+            record(chosen + cover)
         lb = max(lb, lp_lb)
         if nodes == 1:
             root_lower = cost_so_far + lb

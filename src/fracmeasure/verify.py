@@ -203,12 +203,8 @@ def _draw_premeasure(
 
 def _draw_delta(rng: np.random.Generator, space: FiniteMetricSpace) -> float:
     pos = space.dist[space.dist > 0.0]
-    options = [
-        space.epsilon_net,
-        float(np.quantile(pos, 0.3)),
-        float(np.quantile(pos, 0.7)),
-        float(pos.max()),
-    ]
+    low, high = np.quantile(pos, [0.3, 0.7]).tolist()
+    options = [space.epsilon_net, low, high, float(pos.max())]
     return max(space.epsilon_net, float(rng.choice(options)))
 
 

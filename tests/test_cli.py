@@ -493,6 +493,28 @@ _CONSTANT = '{"kind": "constant", "c": 1}'
 
 
 @pytest.mark.parametrize(
+    "changes, mentions",
+    [
+        ({"points": "ab"}, "points must be a list of strings"),
+        ({"points": [["a"], ["b"]]}, "points must be a list of strings"),
+        ({"points": [1, 2]}, "points must be a list of strings"),
+        ({"dist": None, "coords": [[[0.0]], [[1.0]]]}, "coords must be 1-D or 2-D"),
+    ],
+    ids=["points-string", "points-lists", "points-numbers", "coords-3d"],
+)
+def test_malformed_instance_file_exits_2_from_compute(tmp_path, capsys, changes, mentions):
+    inst = tmp_path / "bad.json"
+    doc = {key: value for key, value in {**_TWO_POINTS, **changes}.items() if value is not None}
+    inst.write_text(json.dumps(doc))
+    code = main(
+        ["compute", "--instance", str(inst), "--premeasure", _CONSTANT, "--q", "0", "--delta", "1.0"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert mentions in err
+
+
+@pytest.mark.parametrize(
     "target, changes, mentions",
     [
         ("sweep", {}, None),

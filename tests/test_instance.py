@@ -2,8 +2,7 @@
 
 Differential tests: every candidate's CSR members and cost must match
 ``ball_members`` and ``weight_term`` on seeded 2-D clouds, Cantor nets, a
-grid, the 5-cycle and products, for every premeasure kind; the vectorized
-greedy incumbent must pick exactly what the original bit-mask greedy picks.
+grid, the 5-cycle and products, for every premeasure kind.
 
 Metamorphic tests, which need no oracle: permuting the points leaves H, W
 and Wtilde unchanged; scaling a space by t scales every value of a power
@@ -41,8 +40,6 @@ from fracmeasure import (
     weight_term,
     weighted_premeasure,
 )
-from fracmeasure import optimizer
-from fracmeasure.metric import Rectangle
 
 _S = math.log(2.0) / math.log(3.0)
 _SWEEP_DELTAS = (0.5, 0.2, 0.1)
@@ -182,94 +179,6 @@ def test_product_instance_matches_scalar_functions(name, left, lmu, right, rmu, 
             enumerate_centered_rectangles(prod, lt, rt, delta), key=lex
         )
         _check_against_scalars(prod, pm, q, xi, inst, inst.target)
-
-
-# --- the greedy incumbent --------------------------------------------------
-
-
-def _old_greedy(order, costs, masks, remaining):
-    """The original incumbent: a bit-mask scan over ``order`` per pick."""
-    chosen = []
-    rem = remaining
-    while rem:
-        best_i, best_score = -1, -1.0
-        for i in order:
-            gain = (masks[i] & rem).bit_count()
-            if gain == 0:
-                continue
-            score = gain / costs[i]
-            if score > best_score:
-                best_score, best_i = score, i
-        if best_i < 0:
-            return None
-        chosen.append(best_i)
-        rem &= ~masks[best_i]
-    return chosen
-
-
-def _old_order(inst):
-    """Residual columns and the global order, computed from ``covered`` with bit masks."""
-    tindex = {p: k for k, p in enumerate(inst.target)}
-    masks = [sum(1 << tindex[p] for p in cov) for cov in inst.covered]
-    costs = [float(c) for c in inst.costs]
-    free = 0
-    for i, c in enumerate(costs):
-        if c == 0.0:
-            free |= masks[i]
-    remaining = ((1 << len(inst.target)) - 1) & ~free
-    act = [i for i, c in enumerate(costs) if 0.0 < c < math.inf and masks[i] & remaining]
-
-    def lex(i):
-        cand = inst.candidates[i]
-        if isinstance(cand, Rectangle):
-            sp = inst.space
-            return (
-                sp.left.index_of(cand.left.center),
-                sp.right.index_of(cand.right.center),
-                cand.left.radius,
-                cand.right.radius,
-            )
-        return (inst.space.index_of(cand.center), cand.radius)
-
-    order = sorted(act, key=lambda i: (-((masks[i] & remaining).bit_count() / costs[i]), lex(i)))
-    return order, costs, masks, remaining
-
-
-def _greedy_instances():
-    net6, mu6 = cantor_net(6)
-    yield build_cover_instance(
-        net6, mu6, 1.0, Premeasure.measure_power(mu6, 1.0, HausdorffFunction.linear(), 1.0, 1.0),
-        net6.point_ids, 3.0**-3,
-    )
-    gauge = Premeasure.from_gauge(HausdorffFunction.power_law(_S))
-    for name, space in _spaces():
-        measure = _random_measure(space, 5)
-        for q in (-1.0, 0.0, 1.0, 2.0):
-            for delta in _deltas(space):
-                yield build_cover_instance(space, measure, q, gauge, space.point_ids, delta)
-    for _, left, lmu, right, rmu in _products():
-        prod = product_space(left, right)
-        yield build_product_cover_instance(
-            prod, product_measure(lmu, rmu), 1.0,
-            product_premeasure(gauge, Premeasure.constant_nonempty(1.0)),
-            left.point_ids, right.point_ids, max(prod.epsilon_net, 0.4),
-        )
-
-
-def test_vectorized_greedy_picks_what_the_bit_mask_greedy_picks():
-    checked = 0
-    for inst in _greedy_instances():
-        order, costs, masks, remaining = _old_order(inst)
-        if not order:
-            continue
-        old = _old_greedy(order, costs, masks, remaining)
-        cols = np.array(order)
-        rem = np.array([bool(remaining >> k & 1) for k in range(len(inst.target))])
-        inc = optimizer._incidence(inst.indptr, inst.indices, cols, np.ones(len(rem), dtype=bool))
-        picks = optimizer._greedy_cover(inst.costs[cols], inc, rem)
-        assert (None if picks is None else [order[p] for p in picks]) == old
-        checked += picks is not None
-    assert checked > 50
 
 
 # --- metamorphic relations ---------------------------------------------------

@@ -209,8 +209,8 @@ def test_noncentered_never_exceeds_centered(line3, linear_gauge):
 
 
 def test_node_budget_brackets_the_five_cycle(five_cycle, unit_constant):
-    # the root LP (5/3) cannot prune the greedy incumbent, so the first
-    # child trips the budget; the bracket holds the optimum 2
+    # the root LP (5/3) cannot prune the cover rounded from it, so the
+    # first child trips the budget; the bracket holds the optimum 2
     space, measure = five_cycle
     inst = build_cover_instance(space, measure, 0.0, unit_constant, space.point_ids, 1.0)
     with pytest.raises(CandidateLimitExceeded) as exc:
@@ -232,6 +232,55 @@ def test_node_budget_reports_bounds():
     assert err.lower <= err.upper
     assert err.upper < INF
     assert err.lower >= 25.0 / 3.0 - 1e-6
+
+
+def _rounded_covers(monkeypatch):
+    """Record every cover ``_round_to_cover`` offers, with the node LP it came from."""
+    offered = []
+    rounding = optimizer._round_to_cover
+
+    def record(x, cost, col_ptr, col_rows, m):
+        cover = rounding(x, cost, col_ptr, col_rows, m)
+        offered.append((x, cost, col_ptr, col_rows, m, cover))
+        return cover
+
+    monkeypatch.setattr(optimizer, "_round_to_cover", record)
+    return offered
+
+
+def test_an_integral_root_lp_is_the_incumbent_and_decides_h(monkeypatch):
+    space, measure = cantor_net(5)
+    inst = build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5)
+    offered = _rounded_covers(monkeypatch)
+    h = solve_integer(inst)
+    _, x, _ = inst._root_lp
+    assert np.array_equal(x, np.round(x))  # integral
+    support = inst._residual.cols[x > 0.0]
+    assert h.nodes == 1 and len(offered) == 1
+    assert h.chosen == tuple(sorted(inst._residual.free.tolist() + support.tolist()))
+    assert h.value == sum(inst.costs[i] for i in h.chosen)
+
+
+@pytest.mark.parametrize("n, h_value", [(5, 2.0), (25, 9.0)])
+def test_every_rounded_cover_covers_its_node(monkeypatch, unit_constant, n, h_value):
+    # odd cycles: W = n/3 sits below H, so the root LP is fractional
+    # and the search branches, rounding every node's LP
+    space = cycle_metric(n)
+    inst = build_cover_instance(
+        space, uniform_measure(space), 0.0, unit_constant, space.point_ids, 1.0
+    )
+    offered = _rounded_covers(monkeypatch)
+    h = solve_integer(inst)
+    assert h.value == h_value and h.nodes > 1
+    assert not np.array_equal(offered[0][0], np.round(offered[0][0]))
+    for x, cost, col_ptr, col_rows, m, cover in offered:
+        assert cover is not None and set(cover) <= set(np.flatnonzero(x > 0.0).tolist())
+        hits = np.zeros(m, dtype=int)
+        for j in cover:
+            hits[col_rows[col_ptr[j] : col_ptr[j + 1]]] += 1
+        assert hits.all()
+        # no column of the cover is redundant
+        assert all(hits[col_rows[col_ptr[j] : col_ptr[j + 1]]].min() == 1 for j in cover)
 
 
 def test_oracle_size_limit(five_cycle, unit_constant):
@@ -421,16 +470,23 @@ def _mip_cell(cell):
     )
 
 
-@pytest.mark.parametrize(
-    "cell",
-    [(n, q, d) for n in (40, 80) for q in (-1.0, 0.0, 1.0) for d in (0.5, 0.2)]
-    + [("product", -1.0, 0.5), ("deep-product", -1.0, 0.5)],
-    ids=str,
-)
+# Each cell's node count with the greedy incumbent that the LP rounding
+# replaced; a change to the search must never raise one.
+_MIP_NODES = {
+    **{(n, q, d): 1 for n in (40, 80) for q in (-1.0, 0.0, 1.0) for d in (0.5, 0.2)},
+    (40, -1.0, 0.5): 8,
+    (80, -1.0, 0.5): 7,
+    ("product", -1.0, 0.5): 9,
+    ("deep-product", -1.0, 0.5): 1565,
+}
+
+
+@pytest.mark.parametrize("cell", list(_MIP_NODES), ids=str)
 def test_integer_value_matches_the_mip(cell):
     inst = _mip_cell(cell)
     h = solve_integer(inst)
     assert h.status == "optimal" and _covers(inst, h.chosen)
+    assert h.nodes <= _MIP_NODES[cell]
     # Tied optima may sum their costs in a different order; H is exact
     # to within its prune margin.
     assert abs(h.value - _milp_value(inst)) <= optimizer._PRUNE_REL * max(1.0, h.value)

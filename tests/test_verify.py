@@ -1,6 +1,10 @@
+import copy
+
+import numpy as np
 import pytest
 
 from fracmeasure import CHECK_TOL, SOLVER_TOL, SUITE_NAMES, run_suite
+from fracmeasure import verify
 from fracmeasure.errors import SuiteUnknown
 from fracmeasure.verify import FIXED_SUITES
 
@@ -107,3 +111,34 @@ def test_suites_solve_what_they_check_on_one_instance_per_question(
     assert report.passed and report.cases == 4
     per_case = {"build": builds, "solve_integer": integer, "solve_fractional": fractional}
     assert calls == {key: n * report.cases for key, n in per_case.items()}
+
+
+def _two_quantile_delta(rng, space):
+    """``verify._draw_delta`` as it was written first: one ``np.quantile`` call per level."""
+    pos = space.dist[space.dist > 0.0]
+    options = [
+        space.epsilon_net,
+        float(np.quantile(pos, 0.3)),
+        float(np.quantile(pos, 0.7)),
+        float(pos.max()),
+    ]
+    return max(space.epsilon_net, float(rng.choice(options)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_drawn_deltas_equal_the_two_quantile_form_bit_for_bit(monkeypatch, seed):
+    draw = verify._draw_delta
+    drawn = []
+
+    def checked(rng, space):
+        want = _two_quantile_delta(copy.deepcopy(rng), space)
+        got = draw(rng, space)
+        assert got.hex() == want.hex()
+        drawn.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "_draw_delta", checked)
+    verify.build_mixed_corpus(seed, 60)
+    verify.build_product_corpus(seed, 30)
+    verify._doubling_corpus(seed, 40)
+    assert len(drawn) == 60 + 2 * 30 + 40
