@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError, MissingInstance
+from .errors import ConfigParseError, FracmeasureError, MissingInstance
 from .metric import FiniteMetricSpace, PointMeasure, point_measure, validate_space
 
 __all__ = ["write_instance", "read_instance", "read_json_object"]
@@ -67,5 +67,11 @@ def read_instance(path) -> tuple[FiniteMetricSpace, PointMeasure]:
         raise ConfigParseError(f"instance file {path}: {exc}") from exc
     if not kwargs:
         raise ConfigParseError(f"instance file {path} needs 'dist' or 'coords'")
-    space = validate_space(epsilon_net=epsilon_net, point_ids=tuple(ids), **kwargs)
-    return space, point_measure(space, masses)
+    try:
+        space = validate_space(epsilon_net=epsilon_net, point_ids=tuple(ids), **kwargs)
+        return space, point_measure(space, masses)
+    except FracmeasureError as exc:
+        # Name the file, as the checks above do; the class stays, and
+        # ``args`` is what survives pickling out of a sweep worker.
+        exc.args = (f"instance file {path}: {exc}", *exc.args[1:])
+        raise

@@ -34,9 +34,9 @@ positive finite-cost candidates that meet them.  H is the residual
 optimum plus the zero-cost candidates with members.  W is the residual
 LP optimum plus weight 1 on each of them, with the same value, and its
 dual is 0 on the rows they cover, which keeps it feasible for their
-zero-cost columns.  The residual problem and its LP keep the columns in
-candidate order; only the branch and bound sorts them into its search
-order (below).
+zero-cost columns.  The residual problem, its LP and every node LP of
+the branch and bound keep the columns in candidate order; the search
+order (below) only orders the branches.
 
 Before either solve, one lossless set-cover reduction (``_reduce``; Beasley
 1987, Caprara, Fischetti & Toth 2000) shrinks the residual problem by
@@ -87,21 +87,25 @@ shrunk relatively; an absolute margin would never let a tight bound
 prune once H > 1.  Every incumbent is rounded from a node's LP
 solution (``_round_to_cover``): its support, the columns with positive
 weight, is checked to cover the node's rows against the incidence, and
-then loses its redundant columns, most expensive first (ties in the
-search order).  Joined with the node's picks, the rest is offered as
+then loses its redundant columns, most expensive first (ties in
+candidate order).  Joined with the node's picks, the rest is offered as
 an incumbent valued by the plain sum of its costs, never by the LP
 objective.  An integral LP optimum has no redundant column, so there
 the incumbent is the LP's own picks; that is always so on a line,
 where the incidence is an interval matrix and hence totally
 unimodular, and whenever H = W the root LP decides H at one node.
-Branching picks the uncovered
-point covered by the fewest still-allowed candidates and tries its
-candidates in the search order: descending coverage of the residual
-rows per unit cost, ties by candidate index, which is lexicographic
-(center, radius).  ``solve_integer`` sorts the residual columns into
-this order once, and nothing else does.  Earlier branches are excluded
-from later ones, which makes the search exhaustive without repetition
-and deterministic.  If the node budget is exhausted, the search raises
+Branching picks the uncovered point covered by the fewest still-allowed
+candidates and tries its candidates in the search order: descending
+coverage of the residual rows per unit cost, ties by candidate index,
+which is lexicographic (center, radius); that order ranks only the
+branching row's candidates, and the search reads the residual
+incidence as ``_residual`` built it.  The open nodes wait on an
+explicit stack, each with the rows it has left to cover, its cost so
+far, its picks and its banned candidates: its ancestors' bans and its
+earlier siblings, which makes the search exhaustive without repetition
+and deterministic.  Children are pushed in reverse, so they pop depth
+first in the search order, and no search depth meets Python's
+recursion limit.  If the node budget is exhausted, the search raises
 CandidateLimitExceeded carrying the proven bound bracket.
 """
 
@@ -181,10 +185,10 @@ class CoverInstance:
 
     The incidence is CSR: the members of candidate ``j`` inside the
     target are the target positions ``indices[indptr[j]:indptr[j + 1]]``
-    (in no particular order), and ``costs[j]`` is its cost.  Two derived
-    read-only views are built on first read: ``candidates``, the ``Ball``
-    (or ``Rectangle``) of each candidate from ``grid``, and ``covered``,
-    the members as frozensets of target ids.  The solvers read neither.
+    (in no particular order), and ``costs[j]`` is its cost.  A derived
+    read-only view is built on first read: ``candidates``, the ``Ball``
+    (or ``Rectangle``) of each candidate from ``grid``.  The solvers do
+    not read it.
     """
 
     space: FiniteMetricSpace | ProductSpace
@@ -202,14 +206,6 @@ class CoverInstance:
     def candidates(self) -> tuple:
         grid = self.grid
         return tuple(grid.balls() if isinstance(grid, BallGrid) else grid.rectangles())
-
-    @cached_property
-    def covered(self) -> tuple[frozenset, ...]:
-        tgt, bounds = self.target, self.indptr.tolist()
-        return tuple(
-            frozenset(tgt[k] for k in self.indices[a:b].tolist())
-            for a, b in zip(bounds, bounds[1:])
-        )
 
     @cached_property
     def _residual(self) -> _Residual | None:
@@ -730,9 +726,10 @@ def _round_to_cover(x, cost, col_ptr, col_rows, m) -> list[int] | None:
     The LP is in ``_covering_lp``'s form, column ``j`` holding the rows
     ``col_rows[col_ptr[j]:col_ptr[j + 1]]`` of ``m``, and ``x`` is its
     solution.  The columns with ``x > 0`` cover every row of a feasible
-    LP; of them, the most expensive go first (ties in column order), each
-    dropped while every row it holds stays covered by another.  None
-    when the support misses a row, which only solver rounding can cause.
+    LP; of them, the most expensive go first (ties in column order, which
+    in the branch and bound is candidate order), each dropped while every
+    row it holds stays covered by another.  None when the support misses
+    a row, which only solver rounding can cause.
     """
     support = np.flatnonzero(x > 0.0)
     starts = col_ptr[support]
@@ -757,7 +754,10 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     search runs on the reduced residual problem (module docstring), and
     its root node reads the LP ``solve_fractional`` solves, so ``chosen``
     may be a different tied optimum than the unreduced search finds, and
-    ``nodes`` (the CSV ``nodes`` column) can be lower.
+    ``nodes`` (the CSV ``nodes`` column) can be lower.  The open nodes
+    wait on an explicit stack, so a deep search needs no Python
+    recursion; past ``node_limit`` nodes it raises
+    CandidateLimitExceeded with the root bound and the incumbent.
     """
     res = instance._residual
     if res is None:
@@ -766,17 +766,15 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     if not len(res.rows):
         return IntegerCoverSolution(chosen=tuple(free), value=0.0, status="optimal", nodes=0)
 
-    # The search order: descending coverage per unit cost, ties by candidate index.
-    m = len(res.rows)
-    by_gain = np.argsort(-(np.diff(res.inc.col_ptr) / instance.costs[res.cols]), kind="stable")
-    inc = _incidence(res.inc.col_ptr, res.inc.col_rows, by_gain, np.ones(m, dtype=bool))
-    order = res.cols[by_gain]
-    n = len(order)
-    cost = instance.costs[order]
-    cost_of = instance.costs.tolist()
+    inc = res.inc
+    m, n = len(res.rows), len(res.cols)
+    cost = instance.costs[res.cols]
+    cost_of = cost.tolist()
+    # The search order, by which branches are tried: descending coverage
+    # per unit cost, ties by candidate index.
+    priority = -(np.diff(inc.col_ptr) / cost)
     cheapest = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1]).tolist()
     maxcov = int(np.diff(inc.col_ptr).max())
-    uncovered = np.ones(m, dtype=bool)  # every row of inc is still to cover
 
     best_val: float = INF
     best_set: list[int] = []
@@ -785,21 +783,17 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         # Incumbents are valued by the plain sum of their costs, never by
         # an LP objective, so soundness does not rest on LP accuracy.
         nonlocal best_val, best_set
-        ids = sorted(order[cols].tolist())
-        val = sum(cost_of[i] for i in ids)
+        cols = sorted(cols)
+        val = sum(cost_of[j] for j in cols)
         if val < best_val:
-            best_val, best_set = val, ids
+            best_val, best_set = val, cols
 
     def pruned(bound: float) -> bool:
         if best_val == INF:  # inf - inf is NaN; only an empty subtree prunes
             return bound == INF
         return bound >= best_val - _PRUNE_REL * max(1.0, best_val)
 
-    banned = np.zeros(n, dtype=bool)
-    nodes = 0
-    root_lower = 0.0
-
-    def lp_bound(rem: np.ndarray, keep: np.ndarray):
+    def lp_bound(rem: np.ndarray, keep: np.ndarray, root: bool):
         """Certified LP lower bound, and the LP solution rounded to a cover of ``rem``.
 
         The node LP is cut out of the column side of ``inc``: ``keep``
@@ -813,10 +807,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         counts = np.bincount(owner, minlength=n)
         cols = np.flatnonzero(counts)
         costs_arr, ptr = cost[cols], csr_offsets(counts[cols])
-        if nodes == 1:
-            out = instance._root_lp  # x in candidate order
-            if out is not None:
-                out = out[0], out[1][by_gain], out[2]
+        if root:
+            out = instance._root_lp
         elif not cols.size:
             return INF, None
         else:
@@ -833,48 +825,46 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         lam = float(np.min(costs_arr[over] / sums[over])) if over.any() else 1.0
         return lam * float(y.sum()) * (1.0 - 1e-12), None if cover is None else cols[cover].tolist()
 
-    def visit(rem: np.ndarray, cost_so_far: float, chosen: list[int]) -> None:
-        nonlocal nodes, root_lower
+    # An open node: the rows left to cover, the cost so far, its picks and
+    # the columns it may not pick.
+    stack = [(np.ones(m, dtype=bool), 0.0, [], np.zeros(n, dtype=bool))]
+    nodes, root_lower = 0, 0.0
+    while stack:
+        rem, cost_so_far, picks, banned = stack.pop()
         nodes += 1
         if nodes > node_limit:
             raise CandidateLimitExceeded(lower=root_lower, upper=best_val, nodes=nodes)
         rows = np.flatnonzero(rem)
         if not rows.size:
-            record(chosen)
-            return
+            record(picks)
+            continue
         lb = sum(cheapest[k] for k in rows.tolist()) / maxcov
         if pruned(cost_so_far + lb):
-            return
+            continue
         keep = rem[inc.col_rows] & ~banned[inc.col_of]
-        lp_lb, cover = lp_bound(rem, keep)
+        lp_lb, cover = lp_bound(rem, keep, nodes == 1)
         if cover is not None:
-            record(chosen + cover)
+            record(picks + cover)
         lb = max(lb, lp_lb)
         if nodes == 1:
             root_lower = cost_so_far + lb
         if pruned(cost_so_far + lb):
-            return
+            continue
         # A row of rem with no allowed column made the node LP infeasible and pruned it.
         alive = np.bincount(inc.col_rows[keep], minlength=m)[rows]
         pick = int(rows[np.argmin(alive)])
-        tried: list[int] = []
-        try:
-            for p in inc.row_cols[inc.row_ptr[pick] : inc.row_ptr[pick + 1]].tolist():
-                if banned[p]:
-                    continue
-                child = rem.copy()
-                child[inc.col_rows[inc.col_ptr[p] : inc.col_ptr[p + 1]]] = False
-                chosen.append(p)
-                visit(child, cost_so_far + cost_of[order[p]], chosen)
-                chosen.pop()
-                banned[p] = True
-                tried.append(p)
-        finally:
-            banned[tried] = False
-
-    visit(uncovered, 0.0, [])
-    del visit  # the closure refers to itself: free the cycle, and the arrays it holds, now
-    chosen = sorted(free + best_set)
+        branch = inc.row_cols[inc.row_ptr[pick] : inc.row_ptr[pick + 1]]
+        branch = branch[~banned[branch]]
+        # Each child also bans its earlier siblings; pushed in reverse,
+        # the children pop in the search order, depth first.
+        children = []
+        for p in branch[np.argsort(priority[branch], kind="stable")].tolist():
+            child = rem.copy()
+            child[inc.col_rows[inc.col_ptr[p] : inc.col_ptr[p + 1]]] = False
+            children.append((child, cost_so_far + cost_of[p], picks + [p], banned.copy()))
+            banned[p] = True
+        stack += reversed(children)
+    chosen = sorted(free + res.cols[best_set].tolist())
     return IntegerCoverSolution(chosen=tuple(chosen), value=best_val, status="optimal", nodes=nodes)
 
 

@@ -44,3 +44,12 @@ def linear_gauge():
 @pytest.fixture
 def unit_constant():
     return Premeasure.constant_nonempty(1.0)
+
+
+def covered(instance) -> tuple[frozenset, ...]:
+    """The members of each candidate of a cover instance, as frozensets of target ids."""
+    tgt, bounds = instance.target, instance.indptr.tolist()
+    return tuple(
+        frozenset(tgt[k] for k in instance.indices[a:b].tolist())
+        for a, b in zip(bounds, bounds[1:])
+    )

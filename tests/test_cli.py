@@ -499,8 +499,10 @@ _CONSTANT = '{"kind": "constant", "c": 1}'
         ({"points": [["a"], ["b"]]}, "points must be a list of strings"),
         ({"points": [1, 2]}, "points must be a list of strings"),
         ({"dist": None, "coords": [[[0.0]], [[1.0]]]}, "coords must be 1-D or 2-D"),
+        ({"dist": [[0.0, float("nan")], [1.0, 0.0]]}, "dist[0,1] is not finite"),
+        ({"measure": {"a": 0.6, "b": 0.6}}, "masses sum to 1.2"),
     ],
-    ids=["points-string", "points-lists", "points-numbers", "coords-3d"],
+    ids=["points-string", "points-lists", "points-numbers", "coords-3d", "dist-nan", "mass-1.2"],
 )
 def test_malformed_instance_file_exits_2_from_compute(tmp_path, capsys, changes, mentions):
     inst = tmp_path / "bad.json"
@@ -510,8 +512,25 @@ def test_malformed_instance_file_exits_2_from_compute(tmp_path, capsys, changes,
         ["compute", "--instance", str(inst), "--premeasure", _CONSTANT, "--q", "0", "--delta", "1.0"]
     )
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert code == 2 and err.startswith(f"error: instance file {inst}") and "Traceback" not in err
     assert mentions in err
+
+
+def test_sweep_names_the_bad_instance_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_TWO_POINTS))
+    bad.write_text(json.dumps({**_TWO_POINTS, "dist": [[0.0, float("nan")], [1.0, 0.0]]}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps(
+            {"instances": [str(good), str(bad)], "premeasure": {"kind": "constant", "c": 1},
+             "q_grid": [0.0], "delta_grid": [1.0]}
+        )
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: instance file {bad}: ") and "Traceback" not in err
+    assert str(good) not in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from fracmeasure import (
     uniform_measure,
     write_instance,
 )
-from fracmeasure.errors import ConfigParseError, MissingInstance
+from fracmeasure.errors import (
+    ConfigParseError,
+    InvalidInput,
+    MissingInstance,
+    SpaceValidationError,
+)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -65,3 +71,27 @@ def test_written_file_is_valid_json(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc["points"]) == set(space.point_ids)
     assert "coords" in doc or "dist" in doc
+
+
+@pytest.mark.parametrize(
+    "changes, error",
+    [
+        ({"dist": [[0.0, float("nan")], [1.0, 0.0]]}, SpaceValidationError),
+        ({"dist": None, "coords": [[[0.0]], [[1.0]]]}, InvalidInput),
+        ({"measure": {"a": 0.6, "b": 0.6}}, InvalidInput),
+    ],
+    ids=["dist-nan", "coords-3d", "mass-1.2"],
+)
+def test_space_and_measure_errors_name_the_file(tmp_path, changes, error):
+    doc = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]],
+           "measure": {"a": 0.5, "b": 0.5}, "epsilon_net": 0.5}
+    doc = {key: value for key, value in {**doc, **changes}.items() if value is not None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as info:
+        read_instance(path)
+    exc = info.value
+    assert type(exc) is error and str(exc).startswith(f"instance file {path}: ")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is error and str(back) == str(exc)
+    assert vars(back).keys() == vars(exc).keys()

@@ -42,6 +42,8 @@ from fracmeasure import (
 from fracmeasure import metric, optimizer
 from fracmeasure.verify import build_mixed_corpus, build_product_corpus
 
+from conftest import covered
+
 
 def test_two_point_frozen_values(two_points, linear_gauge):
     space, measure = two_points
@@ -234,6 +236,31 @@ def test_node_budget_reports_bounds():
     assert err.lower >= 25.0 / 3.0 - 1e-6
 
 
+def test_deep_search_needs_no_recursion():
+    # 60 disjoint unit 5-cycles: W = 60 * 5/3 = 100 < H = 60 * 2 = 120, so
+    # the root cannot prune, and the first dive of the search goes deeper
+    # than the 30 frames the lowered recursion limit leaves it.
+    blocks = 60
+    dist = np.full((5 * blocks, 5 * blocks), 10.0)
+    for b in range(blocks):
+        dist[5 * b : 5 * b + 5, 5 * b : 5 * b + 5] = cycle_metric(5).dist
+    space = validate_space(dist=dist, epsilon_net=0.5)
+    xi = Premeasure.constant_nonempty(1.0)
+    inst = build_cover_instance(space, uniform_measure(space), 0.0, xi, space.point_ids, 1.0)
+    assert inst._root_lp is not None  # built at full depth; the limit is for the search
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        with pytest.raises(CandidateLimitExceeded) as exc:
+            solve_integer(inst, node_limit=150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert exc.value.lower <= 120.0 <= exc.value.upper
+
+
 def _rounded_covers(monkeypatch):
     """Record every cover ``_round_to_cover`` offers, with the node LP it came from."""
     offered = []
@@ -297,7 +324,7 @@ def test_oracle_size_limit(five_cycle, unit_constant):
         indices=np.tile(inst.indices, 3),
         costs=np.tile(inst.costs, 3),
     )
-    assert big.covered == inst.covered * 3
+    assert covered(big) == covered(inst) * 3
     with pytest.raises(SizeLimit):
         brute_force_oracle(big)
 
@@ -868,7 +895,7 @@ def test_building_and_solving_never_make_the_candidate_objects(monkeypatch):
     assert insts[2].candidates == tuple(insts[2].grid.rectangles())
 
 
-def test_only_the_integer_search_reorders_the_residual_columns(monkeypatch):
+def test_the_integer_search_builds_no_incidence_of_its_own(monkeypatch):
     space, measure = cantor_net(5)
     inst = build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5)
     assert np.count_nonzero(inst.costs > 0.0) >= optimizer._REDUCE_MIN_COLS
@@ -881,7 +908,7 @@ def test_only_the_integer_search_reorders_the_residual_columns(monkeypatch):
     assert len(cols) < np.count_nonzero(inst.costs > 0.0) and np.all(np.diff(cols) > 0)
     assert np.array_equal(np.array(w.weights)[cols], inst._root_lp[1])
     h = solve_integer(inst)
-    assert len(calls) == 3  # the search order
+    assert len(calls) == 2  # the search reads the residual incidence as built
     assert h.value == pytest.approx(w.value, rel=1e-9)
 
 
