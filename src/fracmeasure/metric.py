@@ -23,6 +23,7 @@ product-metric balls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -63,12 +64,6 @@ __all__ = [
     "point_measure",
     "uniform_measure",
 ]
-
-# Beyond this size the cubic triangle scan is skipped for spaces whose
-# matrix was derived from coordinates (the metric axioms then hold by
-# construction, up to rounding far below the stated tolerance).
-_TRIANGLE_SCAN_LIMIT = 512
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
@@ -142,18 +137,30 @@ class Rectangle:
 class ProductSpace:
     """Two factor spaces glued with the max metric.
 
-    ``space`` is the combined finite metric space on id pairs
-    ``(left_id, right_id)``; its epsilon_net is the max of the factor
-    floors, which is the coarsest scale at which both factors resolve.
+    ``epsilon_net`` is the max of the factor floors, the coarsest scale
+    at which both factors resolve.  ``space`` is the combined finite
+    metric space on id pairs ``(left_id, right_id)``, in ``(a, b)``
+    row-major order; its (|E| |F|)^2 matrix is built on first read, and
+    rectangle covers never read it.
     """
 
     left: FiniteMetricSpace
     right: FiniteMetricSpace
-    space: FiniteMetricSpace
 
     @property
     def epsilon_net(self) -> float:
-        return self.space.epsilon_net
+        return max(self.left.epsilon_net, self.right.epsilon_net)
+
+    @cached_property
+    def space(self) -> FiniteMetricSpace:
+        left, right = self.left, self.right
+        n = left.n * right.n
+        dist = np.maximum(left.dist[:, None, :, None], right.dist[None, :, None, :])
+        return FiniteMetricSpace(
+            point_ids=tuple((a, b) for a in left.point_ids for b in right.point_ids),
+            dist=dist.reshape(n, n),
+            epsilon_net=self.epsilon_net,
+        )
 
 
 # --- construction and validation ---------------------------------------
@@ -170,10 +177,12 @@ def validate_space(
     Accepts a raw distance matrix, coordinate rows (Euclidean; 1-D
     coordinates are one number per point, and coordinates of any other
     rank than 1 or 2 raise InvalidInput), or both (then their
-    consistency is checked to 1e-12).  All violations are
-    collected and raised together in one SpaceValidationError; a NaN or
-    infinite distance ends the scan early, since the later checks mean
-    nothing on it.
+    consistency is checked to 1e-12).  The triangle inequality is
+    scanned on a given ``dist``, at every size; distances computed from
+    ``coords`` alone are Euclidean, so they satisfy it by construction
+    and are not scanned.  All violations are collected and raised
+    together in one SpaceValidationError; a NaN or infinite distance
+    ends the scan early, since the later checks mean nothing on it.
     """
     if dist is None and coords is None:
         raise InvalidInput("need a distance matrix or coordinates")
@@ -231,9 +240,7 @@ def validate_space(
         if i < j:
             violations.append(DegenerateDistance(int(i), int(j)))
 
-    # Triangle scan; for coordinate-backed spaces the inequality holds by
-    # construction, so large instances skip the cubic check.
-    if c_arr is None or n <= _TRIANGLE_SCAN_LIMIT:
+    if dist is not None:  # distances from coords alone are Euclidean: no scan
         best = np.full_like(d_arr, np.inf)
         arg = np.zeros(d_arr.shape, dtype=int)
         for j in range(n):  # best[i, k] = min over pivots j of d(i,j)+d(j,k)
@@ -487,14 +494,7 @@ def enumerate_centered_balls(
 
 def product_space(left: FiniteMetricSpace, right: FiniteMetricSpace) -> ProductSpace:
     """Glue two spaces with the max metric on id pairs."""
-    nl, nr = left.n, right.n
-    ids = tuple((a, b) for a in left.point_ids for b in right.point_ids)
-    d = np.maximum(
-        left.dist[:, None, :, None], right.dist[None, :, None, :]
-    ).reshape(nl * nr, nl * nr)
-    eps = max(left.epsilon_net, right.epsilon_net)
-    combined = FiniteMetricSpace(point_ids=ids, dist=d, epsilon_net=eps, coords=None)
-    return ProductSpace(left=left, right=right, space=combined)
+    return ProductSpace(left=left, right=right)
 
 
 def product_measure(mu: PointMeasure, nu: PointMeasure) -> PointMeasure:
@@ -558,8 +558,9 @@ class RectangleGrid(NamedTuple):
 
     def mass(self, measure: PointMeasure) -> np.ndarray:
         """Member mass per rectangle under a measure on id pairs."""
-        shape = (self.product.left.n, self.product.right.n)
-        w = np.array([measure.mass_of(p) for p in self.product.space.point_ids]).reshape(shape)
+        lids, rids = self.product.left.point_ids, self.product.right.point_ids
+        w = np.array([measure.mass_of((a, b)) for a in lids for b in rids])
+        w = w.reshape(len(lids), len(rids))
         pair = self.left.indicator() @ w @ self.right.indicator().T
         return pair[self.left_at, self.right_at]
 

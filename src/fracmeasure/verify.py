@@ -139,7 +139,7 @@ class ProductCase:
 # --- corpus builders ----------------------------------------------------
 
 
-def _draw_space(rng: np.random.Generator, max_points: int = 32):
+def _draw_space(rng: np.random.Generator):
     kind = rng.choice(["cloud", "grid", "cycle", "cantor"])
     if kind == "cloud":
         n = int(rng.integers(4, 8))
@@ -147,13 +147,11 @@ def _draw_space(rng: np.random.Generator, max_points: int = 32):
         return random_cloud(n, d, int(rng.integers(0, 2**31))), None
     if kind == "grid":
         n = int(rng.integers(3, 5))
-        d = 1 if max_points < 9 else int(rng.integers(1, 3))
+        d = int(rng.integers(1, 3))
         return uniform_grid(n, d), None
     if kind == "cycle":
         return cycle_metric(int(rng.integers(3, 9))), None
     level = int(rng.integers(2, 5))
-    if 2**level > max_points:
-        level = 2
     space, mass = cantor_net(level, 1.0 / 3.0, float(rng.uniform(0.25, 0.75)))
     return space, mass
 

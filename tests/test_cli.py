@@ -86,6 +86,36 @@ def test_compute_emits_inf(tmp_path):
     assert rows[0]["status"] == "infeasible-infinite"
 
 
+def test_compute_accepts_a_wide_segment_given_by_coords(tmp_path):
+    n = 30
+    doc = {
+        "points": [str(k) for k in range(n)],
+        "measure": {str(k): 1.0 / n for k in range(n)},
+        "epsilon_net": 100.0,
+        "coords": [[1e4 * k / (n - 1)] for k in range(n)],
+    }
+    inst = tmp_path / "segment.json"
+    inst.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    code = main(
+        [
+            "compute",
+            "--instance",
+            str(inst),
+            "--premeasure",
+            '{"kind": "constant", "c": 1.0}',
+            "--q",
+            "0",
+            "--delta",
+            "2000",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert [r["family"] for r in _read_csv(out)] == ["H", "W", "Wtilde"]
+
+
 def test_sweep_deterministic_order(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -82,6 +82,25 @@ def test_validate_rejects_triangle_violation():
     assert any(isinstance(v, TriangleViolation) for v in exc.value.violations)
 
 
+def test_validate_accepts_coords_whose_distances_round_past_the_tolerance():
+    # On [0, 1e4] the sums d(i,j) + d(j,k) along the line miss d(i,k) by
+    # more than INVARIANT_TOL in the last bits; the metric is Euclidean.
+    space = validate_space(coords=[[1e4 * k / 29] for k in range(30)], epsilon_net=100.0)
+    assert space.n == 30
+
+
+def test_validate_scans_a_given_matrix_beside_coords_at_any_size():
+    x = np.arange(520.0)
+    d = np.abs(x[:, None] - x[None, :])
+    # Each entry within 1e-12 of the coordinates, the triangle 0-1-2 broken by 1.5e-12.
+    for i, k, step in ((0, 2, 0.5e-12), (0, 1, -0.5e-12), (1, 2, -0.5e-12)):
+        d[i, k] += step
+        d[k, i] += step
+    with pytest.raises(SpaceValidationError) as exc:
+        validate_space(dist=d, coords=x, epsilon_net=0.5)
+    assert {type(v) for v in exc.value.violations} == {TriangleViolation}
+
+
 def test_validate_rejects_bad_epsilon():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SpaceValidationError) as exc:

@@ -183,6 +183,18 @@ def test_delta_profile_monotone(two_points, linear_gauge):
         delta_profile(space, measure, 1.0, linear_gauge, space.point_ids, [0.6, 1.0])
 
 
+def test_a_product_solve_leaves_the_combined_matrix_unbuilt():
+    left, right = random_cloud(6, 2, 7), random_cloud(5, 1, 8)
+    prod = product_space(left, right)
+    pair = product_measure(uniform_measure(left), uniform_measure(right))
+    power = Premeasure.from_gauge(HausdorffFunction.power_law(0.5))
+    h, w = product_premeasure_values(
+        prod, pair, 0.0, product_premeasure(power, power), left.point_ids, right.point_ids, 0.4
+    )
+    assert h.status == "optimal" and w.status == "optimal"
+    assert "space" not in prod.__dict__
+
+
 def test_product_frozen_values(two_points, linear_gauge):
     space, measure = two_points
     prod = product_space(space, space)
