@@ -351,20 +351,6 @@ def dilate(ball: Ball | Rectangle, factor: float) -> Ball | Rectangle:
     return Ball(center=ball.center, radius=ball.radius * factor)
 
 
-def take_segments(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``values[starts[i] : starts[i] + counts[i]]`` for every ``i``, concatenated."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return values[np.repeat(starts - (ends - counts), counts) + np.arange(total)]
-
-
-def csr_offsets(counts: np.ndarray) -> np.ndarray:
-    """CSR row pointer of rows with the given lengths."""
-    indptr = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
 class BallGrid(NamedTuple):
     """The lossless candidate family of ``enumerate_centered_balls`` as arrays.
 
@@ -407,7 +393,13 @@ class BallGrid(NamedTuple):
 
     def mass(self, measure: PointMeasure) -> np.ndarray:
         """Member mass per candidate, summed by distance from the center."""
-        w = np.array([measure.mass_of(p) for p in self.space.point_ids])
+        return self.sums(np.array([measure.mass_of(p) for p in self.space.point_ids]))
+
+    def sums(self, w: np.ndarray) -> np.ndarray:
+        """The sum of ``w`` (one value per point) over each candidate's members.
+
+        One prefix sum per center row, by distance from the center.
+        """
         return np.cumsum(w[self.order], axis=1)[self.row, self.length - 1]
 
     def indicator(self) -> np.ndarray:
@@ -430,17 +422,6 @@ class BallGrid(NamedTuple):
             radius=radius,
             length=np.count_nonzero(dist[self.row] <= radius[:, None], axis=1),
         )
-
-    def incidence(self, target: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)`` of the members in ``target``, as positions in it."""
-        positions = np.full(self.space.n, -1, dtype=np.intp)
-        positions[[self.space.index_of(p) for p in target]] = np.arange(len(target))
-        pos = positions[self.order]
-        inside = pos >= 0
-        row_total = inside.sum(axis=1)
-        counts = np.cumsum(inside, axis=1)[self.row, self.length - 1]
-        starts = (np.cumsum(row_total) - row_total)[self.row]
-        return csr_offsets(counts), take_segments(pos[inside], starts, counts)
 
 
 def ball_grid(space: FiniteMetricSpace, centers: Iterable, delta: float) -> BallGrid:
@@ -560,29 +541,12 @@ class RectangleGrid(NamedTuple):
         """Member mass per rectangle under a measure on id pairs."""
         lids, rids = self.product.left.point_ids, self.product.right.point_ids
         w = np.array([measure.mass_of((a, b)) for a in lids for b in rids])
-        w = w.reshape(len(lids), len(rids))
+        return self.sums(w.reshape(len(lids), len(rids)))
+
+    def sums(self, w: np.ndarray) -> np.ndarray:
+        """The sum of ``w`` (left points by right points) over each rectangle's members."""
         pair = self.left.indicator() @ w @ self.right.indicator().T
         return pair[self.left_at, self.right_at]
-
-    def incidence(self, left_target: Sequence, right_target: Sequence):
-        """CSR of the members in E x F; the pair (E[k], F[l]) has position k |F| + l.
-
-        Each rectangle's incidence is the Kronecker product of its
-        factors' incidences.
-        """
-        lp, li = self.left.incidence(left_target)
-        rp, ri = self.right.incidence(right_target)
-        lc = np.diff(lp)[self.left_at]
-        rc = np.diff(rp)[self.right_at]
-        counts = lc * rc
-        indptr = csr_offsets(counts)
-        within = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
-        a, b = np.divmod(within, np.repeat(rc, counts))
-        indices = (
-            li[np.repeat(lp[self.left_at], counts) + a] * len(right_target)
-            + ri[np.repeat(rp[self.right_at], counts) + b]
-        )
-        return indptr, indices
 
 
 def rectangle_grid(

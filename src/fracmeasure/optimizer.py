@@ -16,63 +16,78 @@ cover E the value is infinity (status ``infeasible-infinite``).
 Candidates of infinite cost never enter a solution; candidates of zero
 cost are always safe to take.
 
-Both solvers read one array-native instance: a CSR incidence of the
-candidates on the target and a cost array, built from one stable
-argsort per center row (``metric.ball_grid``), or, on products, from
-the Kronecker product of the factor incidences.  The instance keeps
-that grid; the ``Ball`` or ``Rectangle`` of each candidate is a view
-built only when read, and no solver reads it.  What the solvers share
-is prepared once per instance and cached on it: the residual problem
-(``CoverInstance._residual``) and its covering LP
-(``CoverInstance._root_lp``), so solving H and W on one instance
-builds, reduces and solves that LP once.  The LP is computed when a
-solver first needs it.
+Both solvers read one array-native instance: the candidate grid on the
+target (``metric.ball_grid``, or on products the pairs of two factor
+grids) and a cost array.  On a ball grid each candidate's members are a
+prefix of one row of ``BallGrid.order``, the points by distance from its
+center (``_Prefixes``); a rectangle's are the product of its factors'
+(``_Pairs``).  So the load of a dual ``y`` on every candidate at once is
+one prefix sum per center row (``BallGrid.sums``, which
+``BallGrid.mass`` uses too), or on products a matrix product of the
+factor indicators with ``y`` (``RectangleGrid.sums``).  The ``Ball`` or ``Rectangle`` of each
+candidate, and the CSR incidence of all of them on the target, are views
+built only when read; only the search on a cell the root LP leaves
+undecided reads the incidence.
 
-The residual problem takes the zero-cost candidates as given: its rows
-are the target points no zero-cost candidate covers, its columns the
-positive finite-cost candidates that meet them.  H is the residual
-optimum plus the zero-cost candidates with members.  W is the residual
-LP optimum plus weight 1 on each of them, with the same value, and its
-dual is 0 on the rows they cover, which keeps it feasible for their
-zero-cost columns.  The residual problem, its LP and every node LP of
-the branch and bound keep the columns in candidate order; the search
-order (below) only orders the branches.
+The root LP (``CoverInstance._root``, ``_priced_root``) is shared by H
+and W and computed once per instance, when a solver first needs it.  It
+takes the zero-cost candidates as given: its rows are the target points
+no zero-cost candidate holds.  It is solved by delayed column generation
+(Gilmore & Gomory 1961; Desrosiers & Luebbecke 2005) in one HiGHS model:
+it starts from the cheapest finite-cost candidate at each center, plus,
+for the rows those leave uncovered, the finite-cost candidate at each
+center that holds most of them, round after round (``_span``; on a ball
+grid one round, which takes the largest such ball).  A row no finite-cost
+candidate reaches makes the value infinite (status
+``infeasible-infinite``).  Each round prices every finite-cost candidate
+against the dual, adds at each center the candidate of most negative
+reduced cost with ``addCols`` and re-solves from the basis, until no
+reduced cost is below ``-SOLVER_TOL * max(1, value)``.  That last
+pricing pass is W's certificate over the whole finite-cost family: the
+dual is scaled by lambda so that no load exceeds its cost, and it must
+close the gap; the weights of the support must cover every row.  W is
+the LP optimum plus weight 1 on each zero-cost candidate with members,
+with the same value, and its dual is 0 on the rows they hold, which
+keeps it feasible for their zero-cost columns.  H is the same LP's node
+1: its certified bound and the cover rounded from its support decide H
+whenever they meet, and on a line, where the incidence is an interval
+matrix, they always do.
 
-Before either solve, one lossless set-cover reduction (``_reduce``; Beasley
-1987, Caprara, Fischetti & Toth 2000) shrinks the residual problem by
-three exact rules run until no row drops: of columns with identical
-member sets only the cheapest stays (ties to the lowest index); a column
-inside another kept column of equal or lower cost goes; a row whose
-candidate set contains another row's goes, since covering that row
-covers it (of two equal rows the lower index stays).  Each set is held
-as packed bits, 64 members to a ``uint64`` word, so both questions are
-exact word comparisons: identical sets are adjacent once sorted by
-their words, and containment is tested only against the columns (or
-rows) that hold the rarest element, in bounded chunks of pairs.
-The LP and the branch and bound run on the reduced problem, whose LP is
-the root node of the search; weights and choices map back to the
-public candidates, a dropped column gets weight 0 and a dropped row
-dual 0.  The fractional certificate is still checked on the whole
-finite-cost instance, which stays valid because a dropped column j
-inside a kept i has load(j) <= load(i) <= c_i <= c_j.  The size rule:
-residual problems with fewer than ``_REDUCE_MIN_COLS`` (64) columns are
-solved as given, because their LPs are tiny and the reduction's fixed
-cost would not pay off.
+Only when the root leaves H undecided is the residual problem built
+(``CoverInstance._residual``): the incidence of the positive
+finite-cost candidates on the root's rows.  One lossless set-cover
+reduction (``_reduce``; Beasley 1987, Caprara, Fischetti & Toth 2000)
+shrinks it by three exact rules run until no row drops: of columns with
+identical member sets only the cheapest stays (ties to the lowest
+index); a column inside another kept column of equal or lower cost
+goes; a row whose candidate set contains another row's goes, since
+covering that row covers it (of two equal rows the lower index stays).
+Each set is held as packed bits, 64 members to a ``uint64`` word, so
+both questions are exact word comparisons: identical sets are adjacent
+once sorted by their words, and containment is tested only against the
+columns (or rows) that hold the rarest element, in bounded chunks of
+pairs.  The search runs on the reduced problem from the root's bound and
+incumbent; its choices map back to the public candidates.  The size
+rule: residual problems with fewer than ``_REDUCE_MIN_COLS`` (64)
+columns are searched as given, because their LPs are tiny and the
+reduction's fixed cost would not pay off.
 
-Every covering LP (the shared root LP and each later node bound of the
-integer search) goes through ``_covering_lp``, one direct call into
-scipy's bundled HiGHS bindings with the options linprog passes and the
-matrix by columns, rows ascending in each, as linprog hands it over, so
-each result equals linprog's bit for bit.  That is the column side of the
+Every node LP of the search below the root goes through
+``_covering_lp``, one direct call into scipy's bundled HiGHS bindings in
+a fresh model, with the options linprog passes and the matrix by
+columns, rows ascending in each, as linprog hands it over, so each
+result equals linprog's bit for bit.  That is the column side of the
 residual incidence (``_Incidence``), which ``_incidence`` alone puts in
 order; the reduction and the node LPs read it too, and nothing sorts or
-transposes it again.  HiGHS reporting the LP optimal gives the
-solution, infeasible gives None, and any other status, or a HiGHS
-error, raises NumericalFailure.  The bindings are private API; a scipy
-without them (older than 1.15) fails this module's import.
-They are loaded by the file path of their extension module
-(``_load_highs``), so ``scipy.optimize``'s package init never runs:
-this module imports only the top-level ``scipy`` package.
+transposes it again.  The priced root uses the same options but grows
+one model warm, its columns' rows in distance order, so its W is no
+longer linprog's to the bit.  HiGHS
+reporting an LP optimal gives the solution, infeasible gives None, and
+any other status, or a HiGHS error, raises NumericalFailure.  The
+bindings are private API; a scipy without them (older than 1.15) fails
+this module's import.  They are loaded by the file path of their
+extension module (``_load_highs``), so ``scipy.optimize``'s package init
+never runs: this module imports only the top-level ``scipy`` package.
 
 The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
@@ -137,9 +152,7 @@ from .metric import (
     ProductSpace,
     RectangleGrid,
     ball_grid,
-    csr_offsets,
     rectangle_grid,
-    take_segments,
 )
 from .premeasure import Premeasure, weight_terms
 
@@ -181,26 +194,24 @@ _PRUNE_REL = 1e-11
 
 @dataclass(frozen=True, eq=False)
 class CoverInstance:
-    """Frozen covering problem: the candidate grid, its target incidence and its costs.
+    """Frozen covering problem: the candidate grid on a target, and its costs.
 
-    The incidence is CSR: the members of candidate ``j`` inside the
+    ``costs[j]`` is the cost of candidate ``j`` of ``grid``.  Derived
+    read-only views are built on first read: ``candidates``, the ``Ball``
+    (or ``Rectangle``) of each candidate, and the CSR incidence
+    ``indptr``, ``indices``: the members of candidate ``j`` inside the
     target are the target positions ``indices[indptr[j]:indptr[j + 1]]``
-    (in no particular order), and ``costs[j]`` is its cost.  A derived
-    read-only view is built on first read: ``candidates``, the ``Ball``
-    (or ``Rectangle``) of each candidate from ``grid``.  The solvers do
-    not read it.
+    (in no particular order).  The solvers read neither unless the root
+    LP leaves H undecided: then the search reads the incidence.
     """
 
     space: FiniteMetricSpace | ProductSpace
     target: tuple
     grid: BallGrid | RectangleGrid
-    indptr: np.ndarray
-    indices: np.ndarray
     costs: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.indptr, self.indices, self.costs):
-            arr.setflags(write=False)
+        self.costs.setflags(write=False)
 
     @cached_property
     def candidates(self) -> tuple:
@@ -208,24 +219,49 @@ class CoverInstance:
         return tuple(grid.balls() if isinstance(grid, BallGrid) else grid.rectangles())
 
     @cached_property
-    def _residual(self) -> _Residual | None:
-        """The reduced residual problem both solvers share (module docstring).
+    def _family(self) -> _Prefixes | _Pairs:
+        """The candidates on the target: their members and the load of a dual on each."""
+        grid = self.grid
+        if isinstance(grid, BallGrid):
+            index = grid.space.index_of
+            return _Prefixes(grid, np.array([index(p) for p in self.target], dtype=np.intp))
+        return _Pairs(grid)
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        indptr, indices = self._family.members(np.arange(len(self.costs)))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
+
+    @cached_property
+    def _root(self) -> _Root | None:
+        """The covering LP H and W share, priced over the whole grid (module docstring).
 
         None when a target point has no finite-cost candidate.
         """
-        costs, m = self.costs, len(self.target)
-        sizes = np.diff(self.indptr)
-        owner = np.repeat(np.arange(len(costs)), sizes)  # candidate of each incidence entry
-        finite = np.isfinite(costs)
-        zero = costs == 0.0
-        reachable = np.zeros(m, dtype=bool)
-        reachable[self.indices[finite[owner]]] = True
-        if not reachable.all():
-            return None
-        rows = np.ones(m, dtype=bool)
-        rows[self.indices[zero[owner]]] = False
+        return _priced_root(self._family, self.costs, len(self.target))
+
+    @cached_property
+    def _residual(self) -> _Residual:
+        """The reduced residual problem the search runs on (module docstring).
+
+        Built only when the root LP does not decide H.
+        """
+        costs = self.costs
+        rows = np.zeros(len(self.target), dtype=bool)
+        rows[self._root.rows] = True
+        owner = np.repeat(np.arange(len(costs)), np.diff(self.indptr))
         gain = np.bincount(owner[rows[self.indices]], minlength=len(costs))
-        cols = np.flatnonzero(finite & ~zero & (gain > 0))
+        cols = np.flatnonzero(np.isfinite(costs) & (costs > 0.0) & (gain > 0))
         del owner  # entry-sized: free it before the incidence is built
         inc = _incidence(self.indptr, self.indices, cols, rows)
         if len(cols) >= _REDUCE_MIN_COLS:
@@ -235,20 +271,7 @@ class CoverInstance:
             kept = kept[gain[kept] > 0]
             inc, cols = _incidence(inc.col_ptr, inc.col_rows, kept, kept_rows), cols[kept]
             rows[rows] = kept_rows
-        return _Residual(
-            free=np.flatnonzero(zero & (sizes > 0)), rows=np.flatnonzero(rows), cols=cols, inc=inc
-        )
-
-    @cached_property
-    def _root_lp(self):
-        """The covering LP of ``_residual``: ``linprog``'s (value, x, y), or None if infeasible.
-
-        ``x`` runs over the residual columns ``cols`` and ``y`` over its rows.
-        """
-        res = self._residual
-        if not len(res.rows):
-            return 0.0, np.zeros(0), np.zeros(0)
-        return linprog(self.costs[res.cols], res.inc.col_ptr, res.inc.col_rows, len(res.rows))
+        return _Residual(rows=np.flatnonzero(rows), cols=cols, inc=inc)
 
 
 @dataclass(frozen=True)
@@ -292,16 +315,10 @@ def _sorted_target(space: FiniteMetricSpace, points: Iterable) -> tuple:
     return tuple(sorted(pts, key=space.index_of))
 
 
-def _from_grid(space, target, grid, incidence, measure, q, xi) -> CoverInstance:
-    """The instance of ``grid`` on ``target``, given its incidence there, priced."""
-    indptr, indices = incidence
+def _from_grid(space, target, grid, measure, q, xi) -> CoverInstance:
+    """The instance of ``grid`` on ``target``, priced."""
     return CoverInstance(
-        space=space,
-        target=target,
-        grid=grid,
-        indptr=indptr,
-        indices=indices,
-        costs=weight_terms(grid, measure, q, xi),
+        space=space, target=target, grid=grid, costs=weight_terms(grid, measure, q, xi)
     )
 
 
@@ -320,7 +337,7 @@ def build_cover_instance(
     """
     tgt = _sorted_target(space, target)
     grid = ball_grid(space, tgt if centers is None else centers, delta)
-    return _from_grid(space, tgt, grid, grid.incidence(tgt), measure, q, xi)
+    return _from_grid(space, tgt, grid, measure, q, xi)
 
 
 def build_product_cover_instance(
@@ -342,7 +359,235 @@ def build_product_cover_instance(
     rt = _sorted_target(product.right, right_target)
     tgt = tuple((a, b) for a in lt for b in rt)
     grid = rectangle_grid(product, lt, rt, delta)
-    return _from_grid(product, tgt, grid, grid.incidence(lt, rt), pair_measure, q, xi)
+    return _from_grid(product, tgt, grid, pair_measure, q, xi)
+
+
+# --- the candidates on their target ---------------------------------------
+
+
+def take_segments(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values[starts[i] : starts[i] + counts[i]]`` for every ``i``, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return values[np.repeat(starts - (ends - counts), counts) + np.arange(total)]
+
+
+def csr_offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointer of rows with the given lengths."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+class _Prefixes:
+    """A ball grid on a target: each candidate's members are a prefix of its center's row.
+
+    ``target`` holds the point index of each target position.  With
+    ``at[u, t]`` the target position of the point ``grid.order[u, t]``,
+    or -1 outside the target, candidate ``j`` holds the target positions
+    among ``at[row[j], :length[j]]``; its center is ``row[j]``.
+    """
+
+    def __init__(self, grid: BallGrid, target: np.ndarray):
+        self.grid, self.target = grid, target
+        self.center = self.row = grid.row
+        self.length = grid.length
+        at = np.full(grid.space.n, -1, dtype=np.intp)
+        at[target] = np.arange(len(target))
+        at = at[grid.order]
+        inside = at >= 0
+        self._held = np.cumsum(inside, axis=1)  # target points in each prefix
+        self._start = csr_offsets(inside.sum(axis=1))[:-1]
+        self._flat = at[inside]  # each row's target positions, row after row
+        self.sizes = self._held[self.row, self.length - 1]
+
+    def loads(self, y: np.ndarray) -> np.ndarray:
+        """The sum of ``y`` (over target positions) on each candidate's members.
+
+        It is ``BallGrid.mass`` with ``y`` as the measure.
+        """
+        w = np.zeros(self.grid.space.n)
+        w[self.target] = y
+        return self.grid.sums(w)
+
+    def members(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(ptr, positions)`` of the members of the candidates ``cols`` in the target."""
+        row = self.row[cols]
+        counts = self._held[row, self.length[cols] - 1]
+        return csr_offsets(counts), take_segments(self._flat, self._start[row], counts)
+
+
+class _Pairs:
+    """A rectangle grid on its target E x F, which are its factors' centers.
+
+    Rectangle ``j`` pairs left candidate ``left_at[j]`` with right
+    candidate ``right_at[j]`` and holds the target positions ``k |F| + l``
+    of each ``k`` the left one holds and ``l`` the right one holds; its
+    center is the pair of theirs.
+    """
+
+    def __init__(self, grid: RectangleGrid):
+        self.grid = grid
+        self.left, self.right = (_Prefixes(g, g.centers) for g in (grid.left, grid.right))
+        self.width = len(grid.right.centers)  # |F|
+        left_at, right_at = grid.left_at, grid.right_at
+        self.center = grid.left.row[left_at] * self.width + grid.right.row[right_at]
+        self.sizes = self.left.sizes[left_at] * self.right.sizes[right_at]
+
+    def loads(self, y: np.ndarray) -> np.ndarray:
+        """The sum of ``y`` on each rectangle's members: ``RectangleGrid.mass`` with ``y``."""
+        grid, rows, cols = self.grid, self.left.target, self.right.target
+        w = np.zeros((grid.left.space.n, grid.right.space.n))
+        w[np.ix_(rows, cols)] = y.reshape(len(rows), len(cols))
+        return grid.sums(w)
+
+    def members(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR of the members of the rectangles ``cols``: the Kronecker product of the factors'."""
+        la, ra = self.grid.left_at[cols], self.grid.right_at[cols]
+        (lp, li), (rp, ri) = self.left.members(la), self.right.members(ra)
+        lc, rc = np.diff(lp), np.diff(rp)
+        counts = lc * rc
+        ptr = csr_offsets(counts)
+        within = np.arange(ptr[-1]) - np.repeat(ptr[:-1], counts)
+        a, b = np.divmod(within, np.repeat(rc, counts))
+        return ptr, (
+            li[np.repeat(lp[:-1], counts) + a] * self.width + ri[np.repeat(rp[:-1], counts) + b]
+        )
+
+
+def _best_per_center(key: np.ndarray, eligible: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """At each center, its eligible candidate of least ``key``, ties to the lowest index.
+
+    Candidates run by center, so the result is ascending.
+    """
+    idx = np.flatnonzero(eligible)
+    idx = idx[np.lexsort((key[idx], center[idx]))]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = center[idx[1:]] != center[idx[:-1]]
+    return idx[first]
+
+
+def _span(family, allowed: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates among ``allowed`` that hold every row of ``left`` that any of them holds.
+
+    Round after round, each center adds its allowed candidate holding the
+    most rows of ``left`` still unheld (ties to the lowest index), until
+    no allowed candidate holds one.  Returns the candidates added and the
+    rows of ``left`` that no allowed candidate holds.  Balls at one
+    center are nested, so on a ball grid the first round holds them all.
+    """
+    left, picked = left.copy(), [np.zeros(0, dtype=np.intp)]
+    while left.any():
+        held = family.loads(left.astype(float))
+        new = _best_per_center(-held, allowed & (held > 0.0), family.center)
+        if not new.size:
+            break
+        picked.append(new)
+        left[family.members(new)[1]] = False
+    return np.concatenate(picked), left
+
+
+class _Root(NamedTuple):
+    """The covering LP H and W share, priced over the whole grid (``CoverInstance._root``).
+
+    ``free`` holds the zero-cost candidates with members and ``rows`` the
+    target positions that none of them holds, both ascending.  The LP on
+    ``rows`` has the value ``value``; ``dual`` is its dual on ``rows``
+    scaled by the certificate's lambda, so that no finite-cost
+    candidate's load exceeds its cost, and ``bound`` the certified lower
+    bound.  The support, the candidates of positive weight, is
+    ``support`` (ascending) with weights ``weights``, and column ``i`` of
+    it holds the rows ``hold[ptr[i]:ptr[i + 1]]`` (numbered in ``rows``).
+    """
+
+    free: np.ndarray
+    rows: np.ndarray
+    value: float
+    dual: np.ndarray
+    bound: float
+    support: np.ndarray
+    weights: np.ndarray
+    ptr: np.ndarray
+    hold: np.ndarray
+
+
+def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
+    """The covering LP of an instance by delayed column generation, and its certificate.
+
+    The rows that zero-cost candidates hold leave the LP.  The LP starts
+    from the cheapest finite-cost candidate at each center that holds a
+    row, plus, for rows those leave unheld, the ones ``_span`` adds.
+    Each round prices every finite-cost candidate against the dual and
+    adds, at each center, the one of most negative reduced cost, then
+    re-solves the same HiGHS model from its basis; it stops when no
+    reduced cost is below ``-SOLVER_TOL * max(1, value)``.  That last
+    pricing pass is the dual check over the whole finite-cost family:
+    the dual is scaled by lambda, as in the search's node bounds, so that
+    no load exceeds its cost.  None when a row has no finite-cost
+    candidate.
+    """
+    n = len(costs)
+    free = np.flatnonzero((costs == 0.0) & (family.sizes > 0))
+    left = np.ones(m, dtype=bool)
+    if free.size:
+        zero = np.zeros(n, dtype=bool)
+        zero[free] = True
+        _, left = _span(family, zero, left)
+    rows = np.flatnonzero(left)
+    if not rows.size:  # nothing left for the LP
+        none, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
+        return _Root(free, rows, 0.0, empty, 0.0, none, empty, csr_offsets(none), none)
+    useful = np.isfinite(costs) & (costs > 0.0) & (family.loads(left.astype(float)) > 0.0)
+    cols = _best_per_center(costs, useful, family.center)
+    left[family.members(cols)[1]] = False
+    if left.any():
+        more, left = _span(family, useful, left)
+        if left.any():
+            return None
+        cols = np.concatenate([cols, more])
+
+    rank = np.full(m, -1, dtype=np.intp)
+    rank[rows] = np.arange(len(rows))
+
+    def on_rows(cand):
+        """The candidates ``cand`` as LP columns: CSR of their members among the rows."""
+        ptr, held = family.members(cand)
+        r = rank[held]
+        keep = r >= 0
+        return csr_offsets(keep)[ptr], r[keep]
+
+    model = _covering_model(costs[cols], *on_rows(cols), len(rows))
+    in_model = np.zeros(n, dtype=bool)
+    in_model[cols] = True
+    y_full = np.zeros(m)  # the dual on the whole target, 0 off the LP's rows
+    while True:
+        out = _optimum(model)
+        if out is None:
+            raise NumericalFailure(
+                INF, 0.0, "LP reported infeasible although finite-cost candidates cover the target"
+            )
+        x, y = out
+        value = float(costs[cols] @ x)
+        y_full[rows] = y
+        loads = family.loads(y_full)
+        reduced = costs - loads  # infinite costs stay infinite
+        new = _best_per_center(
+            reduced, ~in_model & (reduced < -SOLVER_TOL * max(1.0, value)), family.center
+        )
+        if not new.size:
+            break
+        _add_columns(model, costs[new], *on_rows(new))
+        cols = np.concatenate([cols, new])
+        in_model[new] = True
+    # Certified bound by weak duality: scale the dual so every load sits
+    # at or below its cost, whatever the solver's rounding.
+    over = loads > costs
+    lam = float(np.min(costs[over] / loads[over])) if over.any() else 1.0
+    pos = x > 0.0
+    order = np.argsort(cols[pos])
+    support, weights = cols[pos][order], x[pos][order]
+    bound = lam * float(y.sum()) * (1.0 - 1e-12)
+    return _Root(free, rows, value, lam * y, bound, support, weights, *on_rows(support))
 
 
 class _Incidence(NamedTuple):
@@ -364,14 +609,12 @@ class _Incidence(NamedTuple):
 
 
 class _Residual(NamedTuple):
-    """The covering problem H and W share (``CoverInstance._residual``).
+    """The covering problem the search runs on (``CoverInstance._residual``).
 
-    ``free`` holds the zero-cost candidates with members, ascending.  The
-    rows are the target positions ``rows`` and the columns the candidates
-    ``cols``, both ascending; ``inc`` is their incidence.
+    The rows are the target positions ``rows`` and the columns the
+    candidates ``cols``, both ascending; ``inc`` is their incidence.
     """
 
-    free: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     inc: _Incidence
@@ -610,19 +853,14 @@ _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def _covering_lp(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m: int):
-    """Solve min c.x, x >= 0, the x of each row's columns summing to >= 1, on ``m`` rows.
+def _covering_model(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m: int):
+    """A HiGHS model of min c.x, x >= 0, the x of each row's columns summing to >= 1, on ``m`` rows.
 
     The 0/1 constraint matrix is given by columns: column ``j`` holds the
-    rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``, ascending.  Returns
-    (value, x, y) with y the dual potentials of the row constraints when
-    HiGHS reports the LP optimal, and None when it reports it
-    infeasible.  Any other model status, or an error from HiGHS, raises
-    NumericalFailure naming the status.
-
-    HiGHS gets the LP as ``-A x <= -1``, with these arrays as int32, as
-    linprog hands it over, and a fresh model per call, so every solve
-    starts cold and the result is the one linprog gives, bit for bit.
+    rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``, distinct, in any order
+    (the node LPs hand them ascending, as linprog does).  HiGHS gets the
+    LP as ``-A x <= -1``, with these arrays as int32, as linprog hands it
+    over, and the options linprog passes.
     """
     n, nnz = len(costs), len(col_rows)
     model = _highs._Highs()
@@ -637,11 +875,36 @@ def _covering_lp(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m
             col_ptr.astype(np.int32), col_rows.astype(np.int32), np.full(nnz, -1.0),
             np.zeros(n, dtype=np.int32),
         ) == _HIGHS_ERROR
-        or model.run() == _HIGHS_ERROR
     ):
-        raise NumericalFailure(
-            float("nan"), float("nan"), f"HiGHS error, model status {model.getModelStatus().name}"
-        )
+        raise _highs_error(model)
+    return model
+
+
+def _add_columns(model, costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray) -> None:
+    """Add columns, given as in ``_covering_model``; the model keeps its basis."""
+    n, nnz = len(costs), len(col_rows)
+    if model.addCols(
+        n, costs, np.zeros(n), np.full(n, _HIGHS_INF), nnz,
+        col_ptr[:-1].astype(np.int32), col_rows.astype(np.int32), np.full(nnz, -1.0),
+    ) == _HIGHS_ERROR:
+        raise _highs_error(model)
+
+
+def _highs_error(model) -> NumericalFailure:
+    return NumericalFailure(
+        float("nan"), float("nan"), f"HiGHS error, model status {model.getModelStatus().name}"
+    )
+
+
+def _optimum(model):
+    """Run ``model``: (x, y) when HiGHS reports it optimal, None when infeasible.
+
+    ``y`` holds the dual potentials of the row constraints.  Any other
+    model status, or an error from HiGHS, raises NumericalFailure naming
+    the status.  A model run before re-solves from its basis.
+    """
+    if model.run() == _HIGHS_ERROR:
+        raise _highs_error(model)
     status = model.getModelStatus()
     if status == _INFEASIBLE:
         return None
@@ -650,11 +913,25 @@ def _covering_lp(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m
     solution = model.getSolution()
     x = np.clip(np.asarray(solution.col_value), 0.0, None)
     y = np.clip(-np.asarray(solution.row_dual), 0.0, None)
+    return x, y
+
+
+def _covering_lp(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m: int):
+    """Solve the covering LP of ``_covering_model`` in a fresh model: (value, x, y), or None.
+
+    None when HiGHS reports the LP infeasible.  Every solve starts cold,
+    so the result is the one linprog gives, bit for bit.
+    """
+    out = _optimum(_covering_model(costs, col_ptr, col_rows, m))
+    if out is None:
+        return None
+    x, y = out
     return float(costs @ x), x, y
 
 
-# Every covering LP is solved through this module name, which
-# perfbench/tracer.py wraps to time and count the LPs.
+# Every node LP of the search is solved through this module name, which
+# perfbench/tracer.py wraps to time and count the LPs; the priced root
+# LP (``_priced_root``) is not.
 linprog = _covering_lp
 
 
@@ -664,20 +941,21 @@ linprog = _covering_lp
 def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     """Weighted covering optimum with a verified dual certificate.
 
-    The LP is the residual one that ``solve_integer`` starts from
-    (module docstring): every zero-cost candidate with members gets
-    weight 1, columns the reduction drops get weight 0, and rows that a
-    zero-cost candidate covers or the reduction drops get dual 0, so the
-    weights may be a different tied optimum than the unreduced LP's.
-    The returned weights cover every target point and the dual is
-    feasible (column sums below cost plus 1e-9) on the whole finite-cost
-    instance, and it closes the gap to within 1e-9 * max(1, value);
-    anything worse raises NumericalFailure with the primal/dual bracket.
+    The LP is the priced one that ``solve_integer`` starts from (module
+    docstring): every zero-cost candidate with members gets weight 1 and
+    the rows it holds dual 0, and candidates the pricing never added get
+    weight 0, so the weights may be a different tied optimum than the LP
+    over every candidate gives.  The dual is the last pricing pass's,
+    scaled so that no finite-cost candidate's load exceeds its cost; the
+    weights of the support must cover every target point to within
+    1e-9, and the scaled dual must close the gap to within
+    1e-9 * max(1, value); anything worse raises NumericalFailure with
+    the primal/dual bracket.
     """
     m = len(instance.target)
     n = len(instance.costs)
-    res = instance._residual
-    if res is None:  # a point no finite-cost candidate covers
+    root = instance._root
+    if root is None:  # a point no finite-cost candidate covers
         return FractionalCoverSolution(
             weights=(0.0,) * n,
             value=INF,
@@ -685,25 +963,16 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
             gap=0.0,
             status="infeasible-infinite",
         )
-    out = instance._root_lp
-    if out is None:
-        raise NumericalFailure(
-            INF, 0.0, "LP reported infeasible although finite-cost candidates cover the target"
-        )
-    value, x, y = out
+    value = root.value
     weights, dual = np.zeros(n), np.zeros(m)
-    weights[res.free], weights[res.cols], dual[res.rows] = 1.0, x, y
+    weights[root.free], weights[root.support], dual[root.rows] = 1.0, root.weights, root.dual
 
-    # Certificate checks, on the whole finite-cost instance.
-    costs = instance.costs
-    owner = np.repeat(np.arange(n), np.diff(instance.indptr))
-    coverage = np.bincount(instance.indices, weights=weights[owner], minlength=m)
+    # Certificate checks.  The rows off the LP are held by the zero-cost
+    # candidates, and the support's members give the coverage of the rest.
+    held = np.repeat(root.weights, np.diff(root.ptr))
+    coverage = np.bincount(root.hold, weights=held, minlength=len(root.rows))
     if np.any(coverage < 1.0 - SOLVER_TOL):
         raise NumericalFailure(value, float(dual.sum()), "primal cover constraint violated")
-    finite = np.isfinite(costs)
-    loads = np.bincount(owner, weights=dual[instance.indices], minlength=n)
-    if np.any(loads[finite] > costs[finite] + SOLVER_TOL):
-        raise NumericalFailure(value, float(dual.sum()), "dual feasibility violated")
     gap = abs(value - float(dual.sum()))
     if gap > SOLVER_TOL * max(1.0, value):
         raise NumericalFailure(value, float(dual.sum()), "duality gap above tolerance")
@@ -750,25 +1019,61 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     """Exact minimum-cost cover of the target by candidate members.
 
     The returned value is the plain sum of the chosen costs and exceeds
-    the true optimum by at most ``_PRUNE_REL * max(1, value)``.  The
-    search runs on the reduced residual problem (module docstring), and
-    its root node reads the LP ``solve_fractional`` solves, so ``chosen``
-    may be a different tied optimum than the unreduced search finds, and
-    ``nodes`` (the CSV ``nodes`` column) can be lower.  The open nodes
-    wait on an explicit stack, so a deep search needs no Python
+    the true optimum by at most ``_PRUNE_REL * max(1, value)``.  Node 1
+    is the priced LP ``solve_fractional`` reads (module docstring): its
+    certified bound and the cover rounded from its support decide H when
+    they meet.  Otherwise the search runs on the reduced residual
+    problem, from node 1's bound and incumbent, so ``chosen`` may be a
+    different tied optimum than an unreduced search finds.  The open
+    nodes wait on an explicit stack, so a deep search needs no Python
     recursion; past ``node_limit`` nodes it raises
     CandidateLimitExceeded with the root bound and the incumbent.
     """
-    res = instance._residual
-    if res is None:
+    root = instance._root
+    if root is None:
         return IntegerCoverSolution(chosen=(), value=INF, status="infeasible-infinite", nodes=0)
-    free = res.free.tolist()
-    if not len(res.rows):
+    free = root.free.tolist()
+    if not len(root.rows):
         return IntegerCoverSolution(chosen=tuple(free), value=0.0, status="optimal", nodes=0)
+    if node_limit < 1:
+        raise CandidateLimitExceeded(lower=0.0, upper=INF, nodes=1)
 
-    inc = res.inc
-    m, n = len(res.rows), len(res.cols)
-    cost = instance.costs[res.cols]
+    costs = instance.costs
+    best_val: float = INF
+    best_set: list[int] = []
+
+    def record(cands) -> None:
+        # Incumbents are candidate indices, valued by the plain sum of
+        # their costs, never by an LP objective, so soundness does not
+        # rest on LP accuracy.
+        nonlocal best_val, best_set
+        cands = sorted(cands)
+        val = sum(costs[cands].tolist())
+        if val < best_val:
+            best_val, best_set = val, cands
+
+    def pruned(bound: float) -> bool:
+        if best_val == INF:  # inf - inf is NaN; only an empty subtree prunes
+            return bound == INF
+        return bound >= best_val - _PRUNE_REL * max(1.0, best_val)
+
+    def done(nodes: int) -> IntegerCoverSolution:
+        chosen = tuple(sorted(free + best_set))
+        return IntegerCoverSolution(chosen=chosen, value=best_val, status="optimal", nodes=nodes)
+
+    cover = _round_to_cover(
+        root.weights, costs[root.support], root.ptr, root.hold, len(root.rows)
+    )
+    if cover is not None:
+        record(root.support[cover].tolist())
+    if pruned(root.bound):
+        return done(1)
+
+    # The root leaves H undecided: search the reduced residual problem.
+    res = instance._residual
+    inc, cols = res.inc, res.cols
+    m, n = len(res.rows), len(cols)
+    cost = costs[cols]
     cost_of = cost.tolist()
     # The search order, by which branches are tried: descending coverage
     # per unit cost, ties by candidate index.
@@ -776,43 +1081,22 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     cheapest = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1]).tolist()
     maxcov = int(np.diff(inc.col_ptr).max())
 
-    best_val: float = INF
-    best_set: list[int] = []
-
-    def record(cols) -> None:
-        # Incumbents are valued by the plain sum of their costs, never by
-        # an LP objective, so soundness does not rest on LP accuracy.
-        nonlocal best_val, best_set
-        cols = sorted(cols)
-        val = sum(cost_of[j] for j in cols)
-        if val < best_val:
-            best_val, best_set = val, cols
-
-    def pruned(bound: float) -> bool:
-        if best_val == INF:  # inf - inf is NaN; only an empty subtree prunes
-            return bound == INF
-        return bound >= best_val - _PRUNE_REL * max(1.0, best_val)
-
-    def lp_bound(rem: np.ndarray, keep: np.ndarray, root: bool):
+    def lp_bound(rem: np.ndarray, keep: np.ndarray):
         """Certified LP lower bound, and the LP solution rounded to a cover of ``rem``.
 
         The node LP is cut out of the column side of ``inc``: ``keep``
         marks the entries of allowed columns on rows of ``rem``, and the
-        rows of ``rem`` are renumbered in ascending order.  At the root
-        every column and row is in, so its LP is the instance's shared
-        ``_root_lp``.
+        rows of ``rem`` are renumbered in ascending order.  The cover is
+        in candidate indices.
         """
         owner = inc.col_of[keep]
         rows = (np.cumsum(rem) - 1)[inc.col_rows[keep]]
         counts = np.bincount(owner, minlength=n)
-        cols = np.flatnonzero(counts)
-        costs_arr, ptr = cost[cols], csr_offsets(counts[cols])
-        if root:
-            out = instance._root_lp
-        elif not cols.size:
+        lp_cols = np.flatnonzero(counts)
+        if not lp_cols.size:
             return INF, None
-        else:
-            out = linprog(costs_arr, ptr, rows, int(np.count_nonzero(rem)))
+        costs_arr, ptr = cost[lp_cols], csr_offsets(counts[lp_cols])
+        out = linprog(costs_arr, ptr, rows, int(np.count_nonzero(rem)))
         if out is None:
             return INF, None
         _, x, y = out
@@ -820,13 +1104,14 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         # Certified bound by weak duality: scale the dual so every
         # column sum sits below its cost, making the dual objective a
         # true lower bound regardless of solver rounding.
-        sums = np.bincount(owner, weights=y[rows], minlength=n)[cols]
+        sums = np.bincount(owner, weights=y[rows], minlength=n)[lp_cols]
         over = sums > costs_arr
         lam = float(np.min(costs_arr[over] / sums[over])) if over.any() else 1.0
-        return lam * float(y.sum()) * (1.0 - 1e-12), None if cover is None else cols[cover].tolist()
+        bound = lam * float(y.sum()) * (1.0 - 1e-12)
+        return bound, None if cover is None else cols[lp_cols[cover]].tolist()
 
-    # An open node: the rows left to cover, the cost so far, its picks and
-    # the columns it may not pick.
+    # An open node: the rows left to cover, the cost so far, its picks
+    # (residual columns) and the columns it may not pick.
     stack = [(np.ones(m, dtype=bool), 0.0, [], np.zeros(n, dtype=bool))]
     nodes, root_lower = 0, 0.0
     while stack:
@@ -836,15 +1121,18 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             raise CandidateLimitExceeded(lower=root_lower, upper=best_val, nodes=nodes)
         rows = np.flatnonzero(rem)
         if not rows.size:
-            record(picks)
+            record(cols[picks].tolist())
             continue
         lb = sum(cheapest[k] for k in rows.tolist()) / maxcov
         if pruned(cost_so_far + lb):
             continue
         keep = rem[inc.col_rows] & ~banned[inc.col_of]
-        lp_lb, cover = lp_bound(rem, keep, nodes == 1)
+        if nodes == 1:  # the priced root, whose cover is recorded
+            lp_lb, cover = root.bound, None
+        else:
+            lp_lb, cover = lp_bound(rem, keep)
         if cover is not None:
-            record(picks + cover)
+            record(cols[picks].tolist() + cover)
         lb = max(lb, lp_lb)
         if nodes == 1:
             root_lower = cost_so_far + lb
@@ -864,8 +1152,7 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             children.append((child, cost_so_far + cost_of[p], picks + [p], banned.copy()))
             banned[p] = True
         stack += reversed(children)
-    chosen = sorted(free + res.cols[best_set].tolist())
-    return IntegerCoverSolution(chosen=tuple(chosen), value=best_val, status="optimal", nodes=nodes)
+    return done(nodes)
 
 
 def _min_cost_subset(costs: Sequence[float], point_masks: np.ndarray) -> tuple[float, int]:

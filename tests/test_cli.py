@@ -201,21 +201,29 @@ def test_sweep_reads_each_instance_once_and_reports_wtilde_from_w(tmp_path, monk
 @pytest.mark.parametrize("instance", ["net", "cloud"])
 def test_compute_cell_builds_one_instance_and_poses_one_lp(tmp_path, monkeypatch, instance):
     # H, W and Wtilde of a cell whose branch and bound closes at the root
-    # share one cover instance, one reduction and one LP.
+    # share one cover instance and one priced LP, in one HiGHS model, and
+    # build no reduction.
     path = str(tmp_path / "inst.json")
     gen = {
         "net": ["--kind", "cantor", "--level", "5"],
         "cloud": ["--kind", "cloud", "--n", "40", "--dim", "2", "--seed", "7"],
     }[instance]
     assert main(["gen", *gen, "--out", path]) == 0
-    builds, lps, reductions = [], [], []
+    builds, lps, models, reductions = [], [], [], []
     build, solve_lp, reduce = (
         optimizer.build_cover_instance, optimizer.linprog, optimizer._reduce
     )
+
+    class Model(optimizer._highs._Highs):
+        def __init__(self):
+            super().__init__()
+            models.append(self)
+
     monkeypatch.setattr(
         optimizer, "build_cover_instance", lambda *a, **k: builds.append(a) or build(*a, **k)
     )
     monkeypatch.setattr(optimizer, "linprog", lambda *lp: lps.append(lp) or solve_lp(*lp))
+    monkeypatch.setattr(optimizer._highs, "_Highs", Model)
     monkeypatch.setattr(optimizer, "_reduce", lambda *a: reductions.append(a) or reduce(*a))
     out = tmp_path / "cell.csv"
     argv = ["compute", "--instance", path, "--premeasure", json.dumps(_POWER),
@@ -224,7 +232,8 @@ def test_compute_cell_builds_one_instance_and_poses_one_lp(tmp_path, monkeypatch
     rows = {r["family"]: r for r in _read_csv(out)}
     assert rows["H"]["nodes"] == "1"
     assert float(rows["W"]["value"]) == pytest.approx(float(rows["H"]["value"]), rel=1e-9)
-    assert len(builds) == 1 and len(lps) == 1 and len(reductions) == 1
+    assert len(builds) == 1 and len(models) == 1
+    assert not lps and not reductions  # no node LP, and no reduction
 
 
 @pytest.mark.parametrize(

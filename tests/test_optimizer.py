@@ -42,8 +42,6 @@ from fracmeasure import (
 from fracmeasure import metric, optimizer
 from fracmeasure.verify import build_mixed_corpus, build_product_corpus
 
-from conftest import covered
-
 
 def test_two_point_frozen_values(two_points, linear_gauge):
     space, measure = two_points
@@ -259,7 +257,7 @@ def test_deep_search_needs_no_recursion():
     space = validate_space(dist=dist, epsilon_net=0.5)
     xi = Premeasure.constant_nonempty(1.0)
     inst = build_cover_instance(space, uniform_measure(space), 0.0, xi, space.point_ids, 1.0)
-    assert inst._root_lp is not None  # built at full depth; the limit is for the search
+    assert inst._root is not None  # priced at full depth; the limit is for the search
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
@@ -292,11 +290,10 @@ def test_an_integral_root_lp_is_the_incumbent_and_decides_h(monkeypatch):
     inst = build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5)
     offered = _rounded_covers(monkeypatch)
     h = solve_integer(inst)
-    _, x, _ = inst._root_lp
-    assert np.array_equal(x, np.round(x))  # integral
-    support = inst._residual.cols[x > 0.0]
+    root = inst._root
+    assert np.array_equal(root.weights, np.round(root.weights))  # integral
     assert h.nodes == 1 and len(offered) == 1
-    assert h.chosen == tuple(sorted(inst._residual.free.tolist() + support.tolist()))
+    assert h.chosen == tuple(sorted(root.free.tolist() + root.support.tolist()))
     assert h.value == sum(inst.costs[i] for i in h.chosen)
 
 
@@ -325,20 +322,24 @@ def test_every_rounded_cover_covers_its_node(monkeypatch, unit_constant, n, h_va
 def test_oracle_size_limit(five_cycle, unit_constant):
     space, measure = five_cycle
     inst = build_cover_instance(space, measure, 0.0, unit_constant, space.point_ids, 1.0)
-    sizes = np.tile(np.diff(inst.indptr), 3)
-    # Three copies of every column; the oracle counts columns by ``costs``,
-    # so the grid (whose ``candidates`` would list each ball once) can stay.
-    big = inst.__class__(
-        space=inst.space,
-        target=inst.target,
-        grid=inst.grid,
-        indptr=np.concatenate([[0], np.cumsum(sizes)]),
-        indices=np.tile(inst.indices, 3),
-        costs=np.tile(inst.costs, 3),
+    assert len(inst.costs) <= 20 and len(inst.target) <= 10
+    assert brute_force_oracle(inst) == pytest.approx((2.0, 5.0 / 3.0))
+    # Two candidates at each point of a 25-cycle: more than 20.
+    cycle = cycle_metric(25)
+    big = build_cover_instance(
+        cycle, uniform_measure(cycle), 0.0, unit_constant, cycle.point_ids, 1.0
     )
-    assert covered(big) == covered(inst) * 3
+    assert len(big.costs) > 20
     with pytest.raises(SizeLimit):
         brute_force_oracle(big)
+    # One resolution ball at each of 11 points of a line: more than 10 points.
+    line = validate_space(coords=np.arange(11.0), epsilon_net=0.5)
+    wide = build_cover_instance(
+        line, uniform_measure(line), 0.0, unit_constant, line.point_ids, 0.5
+    )
+    assert len(wide.costs) <= 20 and len(wide.target) > 10
+    with pytest.raises(SizeLimit):
+        brute_force_oracle(wide)
 
 
 def test_oracle_agreement_random_instances():
@@ -874,6 +875,118 @@ def test_zero_cost_candidates_get_weight_one_and_their_points_dual_zero():
     _check_certified_on_the_full_instance(inst, w)
 
 
+# --- the priced root LP and its certificate --------------------------------
+
+
+def _check_priced_w(inst):
+    """W against the LP over every finite-cost candidate, and certified on all of them."""
+    w = solve_fractional(_fresh(inst))
+    _, cost, inc = _full_problem(inst)
+    if not _coverable(inc):
+        assert math.isinf(w.value) and w.status == "infeasible-infinite"
+        return w
+    full = _lp_value(cost, inc)
+    assert w.status == "optimal"
+    assert abs(w.value - full) <= SOLVER_TOL * max(1.0, w.value)
+    _check_certified_on_the_full_instance(inst, w)
+    return w
+
+
+def test_a_priced_dual_raised_past_feasibility_is_rejected(monkeypatch):
+    space, measure = cantor_net(5)
+    inst = build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5)
+    assert solve_fractional(_fresh(inst)).status == "optimal"
+    optimum = optimizer._optimum
+
+    def raised(model):
+        # One entry raised by 1e-6 and the same taken off another, so the
+        # dual objective stays put and only the pricing pass can see it.
+        x, y = optimum(model)
+        y = y.copy()
+        low, high = np.argsort(y)[-2:]
+        y[high] += 1e-6
+        y[low] -= 1e-6
+        return x, y
+
+    monkeypatch.setattr(optimizer, "_optimum", raised)
+    with pytest.raises(NumericalFailure):
+        solve_fractional(_fresh(inst))
+
+
+@pytest.mark.parametrize("reach", [0.3, 3.0], ids=["covered", "isolated"])
+def test_a_zero_mass_point_at_negative_q_keeps_its_value(reach):
+    # At q = -1 every ball of zero mass costs infinity.  The zero-mass
+    # point lies 0.3 from the line's other points, which cover it, or 3.0
+    # away, which leaves it without a finite-cost candidate.
+    space = validate_space(coords=np.array([0.0, 0.2, 0.4, 0.6, 0.6 + reach]), epsilon_net=0.1)
+    measure = point_measure(space, dict(zip(space.point_ids, [0.25] * 4 + [0.0])))
+    inst = build_cover_instance(space, measure, -1.0, _CANTOR_GAUGE, space.point_ids, 0.5)
+    assert np.isinf(inst.costs).any()
+    w = _check_priced_w(inst)
+    h = solve_integer(_fresh(inst))
+    if reach > 1.0:
+        assert w.status == h.status == "infeasible-infinite"
+    else:
+        assert w.status == "optimal"
+        assert abs(h.value - _milp_value(inst)) <= optimizer._PRUNE_REL * max(1.0, h.value)
+
+
+def test_a_zero_cost_cell_keeps_its_value():
+    cloud = random_cloud(30, 2, 5)
+    masses = np.where(np.arange(30) % 3 == 0, 0.0, 1.0)
+    measure = point_measure(cloud, dict(zip(cloud.point_ids, masses / masses.sum())))
+    inst = build_cover_instance(cloud, measure, 1.0, _CANTOR_GAUGE, cloud.point_ids, 0.3)
+    free = np.flatnonzero(inst.costs == 0.0)
+    assert len(free)
+    w = _check_priced_w(inst)
+    assert np.all(np.array(w.weights)[free] == 1.0)
+
+
+def test_a_noncentered_w_on_a_proper_subset_keeps_its_value():
+    cloud = random_cloud(40, 2, 3)
+    target = cloud.point_ids[::3]
+    for q in (-1.0, 0.0, 1.0):
+        inst = build_cover_instance(
+            cloud, uniform_measure(cloud), q, _CANTOR_GAUGE, target, 0.3,
+            centers=cloud.point_ids,
+        )
+        w = _check_priced_w(inst)
+        wn = noncentered_weighted_premeasure(
+            cloud, uniform_measure(cloud), q, _CANTOR_GAUGE, target, 0.3
+        )
+        assert wn.value == w.value
+
+
+@pytest.mark.parametrize("q", [-1.0, 0.0, 1.0])
+def test_a_product_cell_keeps_its_value(q):
+    left, right = random_cloud(9, 2, 4), random_cloud(7, 1, 6)
+    inst = build_product_cover_instance(
+        product_space(left, right),
+        product_measure(uniform_measure(left), uniform_measure(right)),
+        q,
+        product_premeasure(_CANTOR_GAUGE, _CANTOR_GAUGE),
+        left.point_ids[1:],
+        right.point_ids,
+        0.4,
+    )
+    _check_priced_w(inst)
+
+
+@pytest.mark.parametrize("cell", list(_MIP_NODES), ids=str)
+def test_priced_w_matches_the_full_lp(cell):
+    _check_priced_w(_mip_cell(cell))
+
+
+def test_a_net_cell_decided_at_the_root_builds_no_incidence():
+    # A level-8 net cell of the example-zero chain: 39,322 candidates.
+    space, mu = cantor_net(8, 1.0 / 3.0, 0.5)
+    xi = Premeasure.measure_power(mu, 1.0, HausdorffFunction.linear(), 1.0, 1.0)
+    inst = build_cover_instance(space, mu, 0.0, xi, space.point_ids, 1.0 / 9.0)
+    h, w = solve_integer(inst), solve_fractional(inst)
+    assert h.nodes == 1 and abs(h.value - w.value) <= SOLVER_TOL * max(1.0, w.value)
+    assert "indices" not in inst.__dict__ and "_residual" not in inst.__dict__
+
+
 def test_building_and_solving_never_make_the_candidate_objects(monkeypatch):
     def refuse(grid):
         raise AssertionError("a build or a solve made the candidate objects")
@@ -908,20 +1021,20 @@ def test_building_and_solving_never_make_the_candidate_objects(monkeypatch):
 
 
 def test_the_integer_search_builds_no_incidence_of_its_own(monkeypatch):
-    space, measure = cantor_net(5)
-    inst = build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5)
+    # The root LP of this cell leaves H undecided, so the search runs.
+    inst = _mip_cell((80, -1.0, 0.5))
     assert np.count_nonzero(inst.costs > 0.0) >= optimizer._REDUCE_MIN_COLS
     calls = []
     incidence = optimizer._incidence
     monkeypatch.setattr(optimizer, "_incidence", lambda *a: calls.append(a) or incidence(*a))
     w = solve_fractional(inst)
-    assert len(calls) == 2  # the residual problem and its reduction
+    assert not calls and "indices" not in inst.__dict__  # W is priced on the grid
+    h = solve_integer(inst)
+    assert h.nodes > 1
+    assert len(calls) == 2  # the residual problem and its reduction, nothing in the search
     cols = inst._residual.cols
     assert len(cols) < np.count_nonzero(inst.costs > 0.0) and np.all(np.diff(cols) > 0)
-    assert np.array_equal(np.array(w.weights)[cols], inst._root_lp[1])
-    h = solve_integer(inst)
-    assert len(calls) == 2  # the search reads the residual incidence as built
-    assert h.value == pytest.approx(w.value, rel=1e-9)
+    assert h.value >= w.value - SOLVER_TOL
 
 
 def test_stable_order_in_small_keys_equals_the_int64_order(monkeypatch):
@@ -1007,12 +1120,16 @@ def _seeded_instances():
     for q in (0.0, 2.0):
         yield build_cover_instance(space, measure, q, power, space.point_ids, 0.2)
     # odd cycles: on most the root LP sits below H, so the search branches
-    for n in (7, 11, 13, 15, 17, 19, 25):
+    for n in (7, 11, 13, 15, 17, 19, 23, 25, 29, 31, 35):
         space = cycle_metric(n)
         yield build_cover_instance(
             space, uniform_measure(space), 0.0, Premeasure.constant_nonempty(1.0),
             space.point_ids, 1.0,
         )
+    # clouds at q = -1 whose searches take 7 and 8 nodes
+    for n in (40, 80):
+        space = random_cloud(n, 2, 7)
+        yield build_cover_instance(space, uniform_measure(space), -1.0, power, space.point_ids, 0.5)
     left, right = random_cloud(4, 1, 5), random_cloud(3, 1, 6)
     prod = product_space(left, right)
     pair = product_measure(uniform_measure(left), uniform_measure(right))
@@ -1024,7 +1141,7 @@ def _seeded_instances():
 
 @pytest.fixture(scope="module")
 def recorded_lps():
-    """Every covering LP that seeded H and W solves pose, in call order."""
+    """Every node LP that seeded H and W solves pose, in call order."""
     lps = []
     solve = optimizer.linprog
 
@@ -1069,9 +1186,10 @@ def test_adapter_raises_on_an_unbounded_lp(lp_route):
     assert "duality gap" not in str(failure.value)
 
 
-def test_every_covering_lp_goes_through_the_linprog_name(monkeypatch):
-    # Wrapping ``optimizer.linprog`` sees each HiGHS solve the solvers run.
-    seen, runs = [], []
+def test_every_node_lp_goes_through_the_linprog_name(monkeypatch):
+    # Wrapping ``optimizer.linprog`` sees each node LP the search solves;
+    # the root LP is one priced HiGHS model of its own.
+    seen, models = [], []
     route = optimizer.linprog
     assert route is optimizer._covering_lp
 
@@ -1080,9 +1198,9 @@ def test_every_covering_lp_goes_through_the_linprog_name(monkeypatch):
         return route(*lp)
 
     class Spy(optimizer._highs._Highs):
-        def run(self):
-            runs.append(self)
-            return super().run()
+        def __init__(self):
+            super().__init__()
+            models.append(self)
 
     monkeypatch.setattr(optimizer, "linprog", spy)
     monkeypatch.setattr(optimizer._highs, "_Highs", Spy)
@@ -1091,15 +1209,15 @@ def test_every_covering_lp_goes_through_the_linprog_name(monkeypatch):
     inst = build_cover_instance(space, measure, 1.0, power, space.point_ids, 0.2)
     solve_integer(inst)
     solve_fractional(inst)
-    assert len(runs) == 1 and len(seen) == 1  # H and W share the root LP
-    # an odd cycle: the search branches, and every node LP is seen too
+    assert len(models) == 1 and not seen  # H and W share the priced root
+    # an odd cycle: the search branches, and every node LP is seen
     space = cycle_metric(25)
     inst = build_cover_instance(
         space, uniform_measure(space), 0.0, Premeasure.constant_nonempty(1.0),
         space.point_ids, 1.0,
     )
     solve_integer(inst)
-    assert len(runs) > 2 and len(seen) == len(runs)
+    assert len(seen) > 1 and len(models) == 2 + len(seen)
 
 
 def _python(code, *path):
