@@ -41,11 +41,14 @@ grid one round, which takes the largest such ball).  A row no finite-cost
 candidate reaches makes the value infinite (status
 ``infeasible-infinite``).  Each round prices every finite-cost candidate
 against the dual, adds at each center the candidate of most negative
-reduced cost with ``addCols`` and re-solves from the basis, until no
-reduced cost is below ``-SOLVER_TOL * max(1, value)``.  That last
-pricing pass is W's certificate over the whole finite-cost family: the
-dual is scaled by lambda so that no load exceeds its cost, and it must
-close the gap; the weights of the support must cover every row.  W is
+reduced cost below ``-SOLVER_TOL`` with ``addCols`` and re-solves from
+the basis, until no candidate outside the model has one (HiGHS holds
+those inside to 1e-10).  That last pricing pass is W's
+dual check over the whole finite-cost family: no load may exceed its
+cost by more than ``SOLVER_TOL``, the stopping rule itself, and the dual
+must close the gap; the weights of the support must cover every row.
+The same pass, with the dual scaled by lambda so that no load exceeds
+its cost, gives H's certified bound at node 1 (``_certified``).  W is
 the LP optimum plus weight 1 on each zero-cost candidate with members,
 with the same value, and its dual is 0 on the rows they hold, which
 keeps it feasible for their zero-cost columns.  H is the same LP's node
@@ -234,11 +237,11 @@ class CoverInstance:
         indices.setflags(write=False)
         return indptr, indices
 
-    @cached_property
+    @property
     def indptr(self) -> np.ndarray:
         return self._csr[0]
 
-    @cached_property
+    @property
     def indices(self) -> np.ndarray:
         return self._csr[1]
 
@@ -492,18 +495,19 @@ class _Root(NamedTuple):
 
     ``free`` holds the zero-cost candidates with members and ``rows`` the
     target positions that none of them holds, both ascending.  The LP on
-    ``rows`` has the value ``value``; ``dual`` is its dual on ``rows``
-    scaled by the certificate's lambda, so that no finite-cost
-    candidate's load exceeds its cost, and ``bound`` the certified lower
-    bound.  The support, the candidates of positive weight, is
-    ``support`` (ascending) with weights ``weights``, and column ``i`` of
-    it holds the rows ``hold[ptr[i]:ptr[i + 1]]`` (numbered in ``rows``).
+    ``rows`` has the value ``value`` and the dual ``dual`` on ``rows``;
+    ``slack`` is the least reduced cost of any candidate under that dual,
+    and ``bound`` the certified lower bound (``_certified``).  The
+    support, the candidates of positive weight, is ``support``
+    (ascending) with weights ``weights``, and column ``i`` of it holds
+    the rows ``hold[ptr[i]:ptr[i + 1]]`` (numbered in ``rows``).
     """
 
     free: np.ndarray
     rows: np.ndarray
     value: float
     dual: np.ndarray
+    slack: float
     bound: float
     support: np.ndarray
     weights: np.ndarray
@@ -518,13 +522,12 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
     from the cheapest finite-cost candidate at each center that holds a
     row, plus, for rows those leave unheld, the ones ``_span`` adds.
     Each round prices every finite-cost candidate against the dual and
-    adds, at each center, the one of most negative reduced cost, then
-    re-solves the same HiGHS model from its basis; it stops when no
-    reduced cost is below ``-SOLVER_TOL * max(1, value)``.  That last
-    pricing pass is the dual check over the whole finite-cost family:
-    the dual is scaled by lambda, as in the search's node bounds, so that
-    no load exceeds its cost.  None when a row has no finite-cost
-    candidate.
+    adds, at each center, the one of reduced cost below ``-SOLVER_TOL``
+    that is most negative, then re-solves the same HiGHS model from its
+    basis, until no candidate outside the model has one.  That last
+    pricing pass gives the dual's ``slack`` over the whole family, which
+    is W's dual check, and the bound of H's node 1.  None when a row has
+    no finite-cost candidate.
     """
     n = len(costs)
     free = np.flatnonzero((costs == 0.0) & (family.sizes > 0))
@@ -536,7 +539,7 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
     rows = np.flatnonzero(left)
     if not rows.size:  # nothing left for the LP
         none, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
-        return _Root(free, rows, 0.0, empty, 0.0, none, empty, csr_offsets(none), none)
+        return _Root(free, rows, 0.0, empty, 0.0, 0.0, none, empty, csr_offsets(none), none)
     useful = np.isfinite(costs) & (costs > 0.0) & (family.loads(left.astype(float)) > 0.0)
     cols = _best_per_center(costs, useful, family.center)
     left[family.members(cols)[1]] = False
@@ -571,23 +574,30 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
         y_full[rows] = y
         loads = family.loads(y_full)
         reduced = costs - loads  # infinite costs stay infinite
-        new = _best_per_center(
-            reduced, ~in_model & (reduced < -SOLVER_TOL * max(1.0, value)), family.center
-        )
+        new = _best_per_center(reduced, ~in_model & (reduced < -SOLVER_TOL), family.center)
         if not new.size:
             break
         _add_columns(model, costs[new], *on_rows(new))
         cols = np.concatenate([cols, new])
         in_model[new] = True
-    # Certified bound by weak duality: scale the dual so every load sits
-    # at or below its cost, whatever the solver's rounding.
-    over = loads > costs
-    lam = float(np.min(costs[over] / loads[over])) if over.any() else 1.0
     pos = x > 0.0
     order = np.argsort(cols[pos])
     support, weights = cols[pos][order], x[pos][order]
-    bound = lam * float(y.sum()) * (1.0 - 1e-12)
-    return _Root(free, rows, value, lam * y, bound, support, weights, *on_rows(support))
+    slack, bound = float(reduced.min()), _certified(y, loads, costs)
+    return _Root(free, rows, value, y, slack, bound, support, weights, *on_rows(support))
+
+
+def _certified(y: np.ndarray, loads: np.ndarray, costs: np.ndarray) -> float:
+    """A certified lower bound on a covering LP by weak duality, from its dual ``y``.
+
+    ``loads`` holds the load of ``y`` on each column and ``costs`` their
+    costs.  The dual is scaled by lambda so that every load sits at or
+    below its cost, whatever the solver's rounding, and the bound is
+    shrunk by 1e-12 relative.
+    """
+    over = loads > costs
+    lam = float(np.min(costs[over] / loads[over])) if over.any() else 1.0
+    return lam * float(y.sum()) * (1.0 - 1e-12)
 
 
 class _Incidence(NamedTuple):
@@ -945,12 +955,12 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     docstring): every zero-cost candidate with members gets weight 1 and
     the rows it holds dual 0, and candidates the pricing never added get
     weight 0, so the weights may be a different tied optimum than the LP
-    over every candidate gives.  The dual is the last pricing pass's,
-    scaled so that no finite-cost candidate's load exceeds its cost; the
-    weights of the support must cover every target point to within
-    1e-9, and the scaled dual must close the gap to within
-    1e-9 * max(1, value); anything worse raises NumericalFailure with
-    the primal/dual bracket.
+    over every candidate gives.  The dual is the LP's, checked by the
+    last pricing pass over the whole finite-cost family: no load may
+    exceed its cost by more than 1e-9.  The weights of the support must
+    cover every target point to within 1e-9, and the dual must close
+    the gap to within 1e-9 * max(1, value); anything worse raises
+    NumericalFailure with the primal/dual bracket.
     """
     m = len(instance.target)
     n = len(instance.costs)
@@ -973,6 +983,8 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     coverage = np.bincount(root.hold, weights=held, minlength=len(root.rows))
     if np.any(coverage < 1.0 - SOLVER_TOL):
         raise NumericalFailure(value, float(dual.sum()), "primal cover constraint violated")
+    if root.slack < -SOLVER_TOL:
+        raise NumericalFailure(value, float(dual.sum()), "dual feasibility violated")
     gap = abs(value - float(dual.sum()))
     if gap > SOLVER_TOL * max(1.0, value):
         raise NumericalFailure(value, float(dual.sum()), "duality gap above tolerance")
@@ -1101,13 +1113,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
             return INF, None
         _, x, y = out
         cover = _round_to_cover(x, costs_arr, ptr, rows, len(y))
-        # Certified bound by weak duality: scale the dual so every
-        # column sum sits below its cost, making the dual objective a
-        # true lower bound regardless of solver rounding.
         sums = np.bincount(owner, weights=y[rows], minlength=n)[lp_cols]
-        over = sums > costs_arr
-        lam = float(np.min(costs_arr[over] / sums[over])) if over.any() else 1.0
-        bound = lam * float(y.sum()) * (1.0 - 1e-12)
+        bound = _certified(y, sums, costs_arr)
         return bound, None if cover is None else cols[lp_cols[cover]].tolist()
 
     # An open node: the rows left to cover, the cost so far, its picks

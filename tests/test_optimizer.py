@@ -324,12 +324,10 @@ def test_oracle_size_limit(five_cycle, unit_constant):
     inst = build_cover_instance(space, measure, 0.0, unit_constant, space.point_ids, 1.0)
     assert len(inst.costs) <= 20 and len(inst.target) <= 10
     assert brute_force_oracle(inst) == pytest.approx((2.0, 5.0 / 3.0))
-    # Two candidates at each point of a 25-cycle: more than 20.
-    cycle = cycle_metric(25)
-    big = build_cover_instance(
-        cycle, uniform_measure(cycle), 0.0, unit_constant, cycle.point_ids, 1.0
-    )
-    assert len(big.costs) > 20
+    # Three copies of every cost: more than 20 columns on 5 points.  The
+    # oracle counts columns by ``costs`` and checks its limits first.
+    big = dataclasses.replace(inst, costs=np.tile(inst.costs, 3))
+    assert len(big.costs) > 20 and len(big.target) <= 10
     with pytest.raises(SizeLimit):
         brute_force_oracle(big)
     # One resolution ball at each of 11 points of a line: more than 10 points.
@@ -913,6 +911,42 @@ def test_a_priced_dual_raised_past_feasibility_is_rejected(monkeypatch):
         solve_fractional(_fresh(inst))
 
 
+def _net7_cell():
+    # The level-7 net at q = 0: W is 1.199, the cheapest candidates cost
+    # 0.012, and pricing takes several rounds.
+    space, measure = cantor_net(7)
+    return build_cover_instance(space, measure, 0.0, _CANTOR_GAUGE, space.point_ids, 0.5)
+
+
+def test_pricing_over_costs_far_below_w_keeps_its_value(monkeypatch):
+    inst = _net7_cell()
+    runs = []
+    optimum = optimizer._optimum
+    monkeypatch.setattr(optimizer, "_optimum", lambda model: runs.append(1) or optimum(model))
+    w = _check_priced_w(inst)
+    assert len(runs) >= 5 and inst.costs.min() < w.value / 50
+
+
+def test_a_priced_dual_within_tolerance_on_costs_far_below_w_is_accepted(monkeypatch):
+    inst = _net7_cell()
+    value = solve_fractional(_fresh(inst)).value
+    optimum = optimizer._optimum
+
+    def raised(model):
+        # The load of every candidate holding the point of largest dual
+        # rises by 5e-10, within SOLVER_TOL.  The tight ones cost far
+        # less than W, so a dual scaled to fit them would miss W by more.
+        x, y = optimum(model)
+        y = y.copy()
+        y[np.argmax(y)] += 5e-10
+        return x, y
+
+    monkeypatch.setattr(optimizer, "_optimum", raised)
+    w = solve_fractional(_fresh(inst))
+    assert w.status == "optimal" and w.value == value
+    _check_certified_on_the_full_instance(inst, w)
+
+
 @pytest.mark.parametrize("reach", [0.3, 3.0], ids=["covered", "isolated"])
 def test_a_zero_mass_point_at_negative_q_keeps_its_value(reach):
     # At q = -1 every ball of zero mass costs infinity.  The zero-mass
@@ -984,7 +1018,8 @@ def test_a_net_cell_decided_at_the_root_builds_no_incidence():
     inst = build_cover_instance(space, mu, 0.0, xi, space.point_ids, 1.0 / 9.0)
     h, w = solve_integer(inst), solve_fractional(inst)
     assert h.nodes == 1 and abs(h.value - w.value) <= SOLVER_TOL * max(1.0, w.value)
-    assert "indices" not in inst.__dict__ and "_residual" not in inst.__dict__
+    # the incidence (indptr, indices) is cached as _csr once read
+    assert "_csr" not in inst.__dict__ and "_residual" not in inst.__dict__
 
 
 def test_building_and_solving_never_make_the_candidate_objects(monkeypatch):
@@ -1028,7 +1063,7 @@ def test_the_integer_search_builds_no_incidence_of_its_own(monkeypatch):
     incidence = optimizer._incidence
     monkeypatch.setattr(optimizer, "_incidence", lambda *a: calls.append(a) or incidence(*a))
     w = solve_fractional(inst)
-    assert not calls and "indices" not in inst.__dict__  # W is priced on the grid
+    assert not calls and "_csr" not in inst.__dict__  # W is priced on the grid
     h = solve_integer(inst)
     assert h.nodes > 1
     assert len(calls) == 2  # the residual problem and its reduction, nothing in the search
