@@ -75,16 +75,16 @@ rule: residual problems with fewer than ``_REDUCE_MIN_COLS`` (64)
 columns are searched as given, because their LPs are tiny and the
 reduction's fixed cost would not pay off.
 
-Every node LP of the search below the root goes through
-``_covering_lp``, one direct call into scipy's bundled HiGHS bindings in
-a fresh model, with the options linprog passes and the matrix by
-columns, rows ascending in each, as linprog hands it over, so each
-result equals linprog's bit for bit.  That is the column side of the
-residual incidence (``_Incidence``), which ``_incidence`` alone puts in
-order; the reduction and the node LPs read it too, and nothing sorts or
-transposes it again.  The priced root uses the same options but grows
-one model warm, its columns' rows in distance order, so its W is no
-longer linprog's to the bit.  HiGHS
+Every LP is a model of scipy's bundled HiGHS bindings, called directly
+with the options linprog passes and the matrix by columns.  Each model
+is solved warm: the priced root grows one model, and the search builds
+one more, of the residual LP, from the column side of the residual
+incidence (``_Incidence``), which ``_incidence`` alone puts in order
+and nothing sorts or transposes again.  Each node LP below the root
+changes that model's bounds in place, where they differ from the last
+solve, and re-solves it from its basis: the rows the node has covered
+get upper bound +inf and its banned columns upper bound 0.  So no LP is
+linprog's to the bit, only within SOLVER_TOL of it.  HiGHS
 reporting an LP optimal gives the solution, infeasible gives None, and
 any other status, or a HiGHS error, raises NumericalFailure.  The
 bindings are private API; a scipy without them (older than 1.15) fails
@@ -96,10 +96,11 @@ The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
 cost covering each, divided by the maximum coverage of any single
 candidate) and, when that fails to prune, the LP relaxation of the
-remaining subproblem, certified by a scaled dual.  A node is pruned when
-its bound reaches the incumbent value less the relative margin
-``_PRUNE_REL * max(1, incumbent)``, so the returned value exceeds the
-true optimum by at most ``_PRUNE_REL * max(1, H)``, far below
+remaining subproblem, certified by the node's own dual, scaled to
+feasibility, so a warm or tied optimum costs no soundness.  A node is
+pruned when its bound reaches the incumbent value less the relative
+margin ``_PRUNE_REL * max(1, incumbent)``, so the returned value exceeds
+the true optimum by at most ``_PRUNE_REL * max(1, H)``, far below
 SOLVER_TOL.  The margin is relative because the certified bound is
 shrunk relatively; an absolute margin would never let a tight bound
 prune once H > 1.  Every incumbent is rounded from a node's LP
@@ -461,13 +462,16 @@ class _Pairs:
 def _best_per_center(key: np.ndarray, eligible: np.ndarray, center: np.ndarray) -> np.ndarray:
     """At each center, its eligible candidate of least ``key``, ties to the lowest index.
 
-    Candidates run by center, so the result is ascending.
+    Candidates run by center, so each center's eligible ones are one
+    segment, and the result is ascending.
     """
     idx = np.flatnonzero(eligible)
-    idx = idx[np.lexsort((key[idx], center[idx]))]
-    first = np.ones(len(idx), dtype=bool)
-    first[1:] = center[idx[1:]] != center[idx[:-1]]
-    return idx[first]
+    k, c = key[idx], center[idx]
+    head = np.ones(len(idx), dtype=bool)
+    head[1:] = c[1:] != c[:-1]
+    starts = np.flatnonzero(head)
+    hits = np.flatnonzero(k == np.minimum.reduceat(k, starts)[np.cumsum(head) - 1])
+    return idx[hits[np.searchsorted(hits, starts)]]  # the first hit in each segment
 
 
 def _span(family, allowed: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -867,10 +871,9 @@ def _covering_model(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray
     """A HiGHS model of min c.x, x >= 0, the x of each row's columns summing to >= 1, on ``m`` rows.
 
     The 0/1 constraint matrix is given by columns: column ``j`` holds the
-    rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``, distinct, in any order
-    (the node LPs hand them ascending, as linprog does).  HiGHS gets the
-    LP as ``-A x <= -1``, with these arrays as int32, as linprog hands it
-    over, and the options linprog passes.
+    rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``, distinct, in any order.
+    HiGHS gets the LP as ``-A x <= -1``, with these arrays as int32, as
+    linprog hands it over, and the options linprog passes.
     """
     n, nnz = len(costs), len(col_rows)
     model = _highs._Highs()
@@ -926,23 +929,10 @@ def _optimum(model):
     return x, y
 
 
-def _covering_lp(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m: int):
-    """Solve the covering LP of ``_covering_model`` in a fresh model: (value, x, y), or None.
-
-    None when HiGHS reports the LP infeasible.  Every solve starts cold,
-    so the result is the one linprog gives, bit for bit.
-    """
-    out = _optimum(_covering_model(costs, col_ptr, col_rows, m))
-    if out is None:
-        return None
-    x, y = out
-    return float(costs @ x), x, y
-
-
 # Every node LP of the search is solved through this module name, which
 # perfbench/tracer.py wraps to time and count the LPs; the priced root
 # LP (``_priced_root``) is not.
-linprog = _covering_lp
+linprog = _optimum
 
 
 # --- fractional solver --------------------------------------------------
@@ -1001,22 +991,26 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
 # --- integer solver -----------------------------------------------------
 
 
-def _round_to_cover(x, cost, col_ptr, col_rows, m) -> list[int] | None:
+def _round_to_cover(x, cost, col_ptr, col_rows, rows) -> list[int] | None:
     """A covering LP solution rounded to a cover: its support, less its redundant columns.
 
-    The LP is in ``_covering_lp``'s form, column ``j`` holding the rows
-    ``col_rows[col_ptr[j]:col_ptr[j + 1]]`` of ``m``, and ``x`` is its
-    solution.  The columns with ``x > 0`` cover every row of a feasible
-    LP; of them, the most expensive go first (ties in column order, which
-    in the branch and bound is candidate order), each dropped while every
-    row it holds stays covered by another.  None when the support misses
-    a row, which only solver rounding can cause.
+    Column ``j`` holds the rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``,
+    ``x`` is an LP solution, and the mask ``rows`` marks the rows to
+    cover; the rest are covered already.  The columns with ``x > 0`` cover
+    every marked row of a feasible LP; of them, the most expensive go
+    first (ties in column order, which in the branch and bound is
+    candidate order), each dropped while every marked row it holds stays
+    covered by another.  None when the support misses a marked row, which
+    only solver rounding can cause.
     """
     support = np.flatnonzero(x > 0.0)
     starts = col_ptr[support]
-    hits = np.bincount(take_segments(col_rows, starts, col_ptr[support + 1] - starts), minlength=m)
-    if not hits.all():
+    hits = np.bincount(
+        take_segments(col_rows, starts, col_ptr[support + 1] - starts), minlength=len(rows)
+    )
+    if not hits[rows].all():
         return None
+    hits[~rows] = len(support) + 2  # never brought down to 1 by the drops below
     cover = []
     for j in support[np.argsort(-cost[support], kind="stable")].tolist():
         held = col_rows[col_ptr[j] : col_ptr[j + 1]]
@@ -1073,9 +1067,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         chosen = tuple(sorted(free + best_set))
         return IntegerCoverSolution(chosen=chosen, value=best_val, status="optimal", nodes=nodes)
 
-    cover = _round_to_cover(
-        root.weights, costs[root.support], root.ptr, root.hold, len(root.rows)
-    )
+    all_rows = np.ones(len(root.rows), dtype=bool)
+    cover = _round_to_cover(root.weights, costs[root.support], root.ptr, root.hold, all_rows)
     if cover is not None:
         record(root.support[cover].tolist())
     if pruned(root.bound):
@@ -1093,29 +1086,34 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     cheapest = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1]).tolist()
     maxcov = int(np.diff(inc.col_ptr).max())
 
-    def lp_bound(rem: np.ndarray, keep: np.ndarray):
+    model = _covering_model(cost, inc.col_ptr, inc.col_rows, m)
+    posed_rows, posed_bans = np.ones(m, dtype=bool), np.zeros(n, dtype=bool)
+
+    def lp_bound(rem: np.ndarray, banned: np.ndarray):
         """Certified LP lower bound, and the LP solution rounded to a cover of ``rem``.
 
-        The node LP is cut out of the column side of ``inc``: ``keep``
-        marks the entries of allowed columns on rows of ``rem``, and the
-        rows of ``rem`` are renumbered in ascending order.  The cover is
-        in candidate indices.
+        The node LP is the one residual model (module docstring), its rows
+        outside ``rem`` relaxed to upper bound +inf and its ``banned``
+        columns to upper bound 0, where the last solve posed them otherwise.
+        The cover is in candidate indices.
         """
-        owner = inc.col_of[keep]
-        rows = (np.cumsum(rem) - 1)[inc.col_rows[keep]]
-        counts = np.bincount(owner, minlength=n)
-        lp_cols = np.flatnonzero(counts)
-        if not lp_cols.size:
-            return INF, None
-        costs_arr, ptr = cost[lp_cols], csr_offsets(counts[lp_cols])
-        out = linprog(costs_arr, ptr, rows, int(np.count_nonzero(rem)))
+        flip = np.flatnonzero(banned != posed_bans).astype(np.int32)
+        upper = np.where(banned[flip], 0.0, _HIGHS_INF)
+        status = [model.changeColsBounds(len(flip), flip, np.zeros(len(flip)), upper)]
+        for k in np.flatnonzero(rem != posed_rows).tolist():
+            status.append(model.changeRowBounds(k, -_HIGHS_INF, -1.0 if rem[k] else _HIGHS_INF))
+        if _HIGHS_ERROR in status:
+            raise _highs_error(model)
+        posed_rows[:], posed_bans[:] = rem, banned
+        out = linprog(model)
         if out is None:
             return INF, None
-        _, x, y = out
-        cover = _round_to_cover(x, costs_arr, ptr, rows, len(y))
-        sums = np.bincount(owner, weights=y[rows], minlength=n)[lp_cols]
-        bound = _certified(y, sums, costs_arr)
-        return bound, None if cover is None else cols[lp_cols[cover]].tolist()
+        x, y = out
+        x[banned], y[~rem] = 0.0, 0.0
+        cover = _round_to_cover(x, cost, inc.col_ptr, inc.col_rows, rem)
+        loads = np.bincount(inc.col_of, weights=y[inc.col_rows], minlength=n)
+        bound = _certified(y, loads[~banned], cost[~banned])
+        return bound, None if cover is None else cols[cover].tolist()
 
     # An open node: the rows left to cover, the cost so far, its picks
     # (residual columns) and the columns it may not pick.
@@ -1133,11 +1131,10 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         lb = sum(cheapest[k] for k in rows.tolist()) / maxcov
         if pruned(cost_so_far + lb):
             continue
-        keep = rem[inc.col_rows] & ~banned[inc.col_of]
         if nodes == 1:  # the priced root, whose cover is recorded
             lp_lb, cover = root.bound, None
         else:
-            lp_lb, cover = lp_bound(rem, keep)
+            lp_lb, cover = lp_bound(rem, banned)
         if cover is not None:
             record(cols[picks].tolist() + cover)
         lb = max(lb, lp_lb)
@@ -1146,6 +1143,7 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         if pruned(cost_so_far + lb):
             continue
         # A row of rem with no allowed column made the node LP infeasible and pruned it.
+        keep = rem[inc.col_rows] & ~banned[inc.col_of]
         alive = np.bincount(inc.col_rows[keep], minlength=m)[rows]
         pick = int(rows[np.argmin(alive)])
         branch = inc.row_cols[inc.row_ptr[pick] : inc.row_ptr[pick + 1]]

@@ -276,9 +276,9 @@ def _rounded_covers(monkeypatch):
     offered = []
     rounding = optimizer._round_to_cover
 
-    def record(x, cost, col_ptr, col_rows, m):
-        cover = rounding(x, cost, col_ptr, col_rows, m)
-        offered.append((x, cost, col_ptr, col_rows, m, cover))
+    def record(x, cost, col_ptr, col_rows, rows):
+        cover = rounding(x, cost, col_ptr, col_rows, rows)
+        offered.append((x.copy(), cost, col_ptr, col_rows, rows.copy(), cover))
         return cover
 
     monkeypatch.setattr(optimizer, "_round_to_cover", record)
@@ -309,14 +309,29 @@ def test_every_rounded_cover_covers_its_node(monkeypatch, unit_constant, n, h_va
     h = solve_integer(inst)
     assert h.value == h_value and h.nodes > 1
     assert not np.array_equal(offered[0][0], np.round(offered[0][0]))
-    for x, cost, col_ptr, col_rows, m, cover in offered:
+    _check_irredundant_covers(offered)
+
+
+def test_every_rounded_cover_on_a_product_search_covers_its_node(monkeypatch):
+    # Here node LPs put weight on columns that hold rows covered already.
+    offered = _rounded_covers(monkeypatch)
+    h = solve_integer(_mip_cell(("product", -1.0, 0.5)))
+    assert h.nodes > 1 and len(offered) > 1
+    _check_irredundant_covers(offered)
+
+
+def _check_irredundant_covers(offered):
+    """Each offered cover covers its node's rows, and drops no column it could."""
+    for x, cost, col_ptr, col_rows, rows, cover in offered:
         assert cover is not None and set(cover) <= set(np.flatnonzero(x > 0.0).tolist())
-        hits = np.zeros(m, dtype=int)
+        hits = np.zeros(len(rows), dtype=int)
         for j in cover:
             hits[col_rows[col_ptr[j] : col_ptr[j + 1]]] += 1
-        assert hits.all()
-        # no column of the cover is redundant
-        assert all(hits[col_rows[col_ptr[j] : col_ptr[j + 1]]].min() == 1 for j in cover)
+        assert hits[rows].all()
+        # no column of the cover is redundant: each alone holds a row to cover
+        for j in cover:
+            held = col_rows[col_ptr[j] : col_ptr[j + 1]]
+            assert hits[held[rows[held]]].min() == 1
 
 
 def test_oracle_size_limit(five_cycle, unit_constant):
@@ -605,8 +620,8 @@ def _coverable(inc):
 
 
 def _lp_value(cost, inc):
-    """The covering LP value of an incidence, posed by its columns."""
-    return optimizer._covering_lp(cost, inc.col_ptr, inc.col_rows, len(inc.row_ptr) - 1)[0]
+    """The covering LP value of an incidence, posed by its columns to linprog."""
+    return _linprog_reference(cost, inc.col_ptr, inc.col_rows, len(inc.row_ptr) - 1)[0]
 
 
 def test_reduction_drops_only_dominated_columns_and_rows(reduction_instances):
@@ -1072,6 +1087,29 @@ def test_the_integer_search_builds_no_incidence_of_its_own(monkeypatch):
     assert h.value >= w.value - SOLVER_TOL
 
 
+def _lexsorted_best_per_center(key, eligible, center):
+    """``_best_per_center`` by a lexsort of every eligible candidate, the earlier form."""
+    idx = np.flatnonzero(eligible)
+    idx = idx[np.lexsort((key[idx], center[idx]))]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = center[idx[1:]] != center[idx[:-1]]
+    return idx[first]
+
+
+def test_best_per_center_equals_the_lexsort_form():
+    # Few distinct keys make ties; infinite keys, empty centers and an
+    # empty eligible set all occur.
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = int(rng.integers(0, 60))
+        center = np.sort(rng.integers(0, 12, n))
+        key = rng.choice([-np.inf, -2.0, -0.5, 0.0, 0.5, 3.0, np.inf], n)
+        eligible = rng.random(n) < (0.0 if trial % 10 == 0 else rng.random())
+        got = optimizer._best_per_center(key, eligible, center)
+        want = _lexsorted_best_per_center(key, eligible, center)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
 def test_stable_order_in_small_keys_equals_the_int64_order(monkeypatch):
     # Row counts on both sides of the uint8 and uint16 limits, and above.
     rng = np.random.default_rng(9)
@@ -1105,12 +1143,12 @@ def test_stable_order_in_small_keys_equals_the_int64_order(monkeypatch):
 
 # --- the LP adapter ---------------------------------------------------------
 #
-# _covering_lp hands the covering LP straight to scipy's bundled HiGHS
-# bindings.  It must give what linprog gives, bit for bit.
+# Every covering LP goes straight to scipy's bundled HiGHS bindings, posed
+# with the options linprog passes; linprog itself is the reference.
 
 
 def _linprog_reference(costs, col_ptr, col_rows, m):
-    """The covering LP as the solvers posed it to linprog before the direct adapter.
+    """The covering LP as the solvers posed it to linprog before the direct HiGHS calls.
 
     ``A_ub`` is the CSR matrix scipy.sparse builds from the column form.
     """
@@ -1174,63 +1212,113 @@ def _seeded_instances():
     )
 
 
-@pytest.fixture(scope="module")
-def recorded_lps():
-    """Every node LP that seeded H and W solves pose, in call order."""
-    lps = []
-    solve = optimizer.linprog
-
-    def record(costs, col_ptr, col_rows, m):
-        lps.append((costs.copy(), col_ptr.copy(), col_rows.copy(), m))
-        return solve(costs, col_ptr, col_rows, m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "linprog", record)
-        for inst in _seeded_instances():
-            solve_integer(inst)
-            solve_fractional(inst)
-    return lps
+def _posed(cost, col_ptr, col_rows, m):
+    """Run the covering LP in a fresh HiGHS model, as the solvers pose it."""
+    return optimizer._optimum(optimizer._covering_model(cost, col_ptr, col_rows, m))
 
 
-@pytest.fixture(params=["direct"])
-def lp_route(request):
-    """The route covering LPs take: the direct HiGHS call is the only one."""
-    return request.param
-
-
-def test_adapter_equals_linprog_bit_for_bit(lp_route, recorded_lps):
-    assert len(recorded_lps) > 40
-    for lp in recorded_lps:
-        got, want = optimizer._covering_lp(*lp), _linprog_reference(*lp)
-        assert want is not None
-        value, x, y = got
-        assert value == want[0]
-        assert np.array_equal(x, want[1]) and np.array_equal(y, want[2])
-
-
-def test_adapter_reports_an_empty_row_infeasible(lp_route):
+def test_adapter_reports_an_empty_row_infeasible():
     # both columns hold row 0 only, so nothing can cover row 1
-    assert optimizer._covering_lp(np.ones(2), np.array([0, 1, 2]), np.array([0, 0]), 2) is None
+    assert _posed(np.ones(2), np.array([0, 1, 2]), np.array([0, 0]), 2) is None
 
 
-def test_adapter_raises_on_an_unbounded_lp(lp_route):
+def test_adapter_raises_on_an_unbounded_lp():
     with pytest.raises(NumericalFailure) as failure:
-        optimizer._covering_lp(np.array([-1.0, 1.0]), np.array([0, 1, 2]), np.array([0, 0]), 1)
+        _posed(np.array([-1.0, 1.0]), np.array([0, 1, 2]), np.array([0, 0]), 1)
     # a status failure has no primal/dual bracket and is not worded as a gap
     assert "kUnbounded" in str(failure.value)
     assert "duality gap" not in str(failure.value)
 
 
+def test_a_warm_model_reports_a_bare_row_infeasible_and_solves_on():
+    # No search of the tests meets an infeasible node LP, so the warm
+    # residual model is made one: every column of one row banned.
+    inst = _mip_cell((40, -1.0, 0.5))
+    solve_integer(inst)
+    res = inst._residual
+    cost, inc, m = inst.costs[res.cols], res.inc, len(res.rows)
+    model = optimizer._covering_model(cost, inc.col_ptr, inc.col_rows, m)
+    bare = inc.row_cols[inc.row_ptr[0] : inc.row_ptr[1]].astype(np.int32)
+
+    def solve(upper):
+        """Re-solve with the upper bound of the row's columns set to ``upper``."""
+        model.changeColsBounds(len(bare), bare, np.zeros(len(bare)), np.full(len(bare), upper))
+        return optimizer._optimum(model)
+
+    first = float(cost @ solve(optimizer._HIGHS_INF)[0])
+    assert solve(0.0) is None
+    again = float(cost @ solve(optimizer._HIGHS_INF)[0])
+    want = _linprog_reference(cost, inc.col_ptr, inc.col_rows, m)[0]
+    assert max(abs(first - want), abs(again - want)) <= SOLVER_TOL * max(1.0, want)
+
+
+def test_warm_node_lps_match_linprog_and_certify_below_it(monkeypatch):
+    # Each node LP re-solves the residual model in place, posed on the
+    # node's rows and allowed columns; posed afresh to linprog, that LP has
+    # the same value.  The searches: a 14-point cloud, odd cycles, the 40-
+    # and 80-point clouds at q = -1 and a product cell.
+    solve, rounding, certified = optimizer.linprog, optimizer._round_to_cover, optimizer._certified
+    lps = []
+
+    def spy(model):
+        lp = model.getLp()
+        rows = np.asarray(lp.row_upper_) == -1.0
+        allowed = np.isinf(np.asarray(lp.col_upper_))
+        out = solve(model)
+        value = None if out is None else float(np.asarray(lp.col_cost_) @ (out[0] * allowed))
+        lps.append({"rows": rows, "allowed": allowed, "value": value})
+        return out
+
+    def round_node(x, cost, col_ptr, col_rows, rows):
+        if lps:  # the root's support is rounded before any node LP
+            lps[-1]["node_rows"] = rows.copy()
+        return rounding(x, cost, col_ptr, col_rows, rows)
+
+    def bound(y, loads, costs):
+        lps[-1]["node_cols"], lps[-1]["bound"] = len(costs), certified(y, loads, costs)
+        return lps[-1]["bound"]
+
+    product = _mip_cell(("product", -1.0, 0.5))
+    searched, checked = [], 0
+    for inst in [*_seeded_instances(), product]:
+        inst._root  # priced before the spies: its certificate is no node's
+        lps.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(optimizer, "linprog", spy)
+            mp.setattr(optimizer, "_round_to_cover", round_node)
+            mp.setattr(optimizer, "_certified", bound)
+            solve_integer(inst)
+        if lps:
+            searched.append(inst)
+        res = inst._residual if lps else None
+        for lp in lps:
+            rows, cols = lp["rows"], np.flatnonzero(lp["allowed"])
+            node = optimizer._incidence(res.inc.col_ptr, res.inc.col_rows, cols, rows)
+            want = _linprog_reference(
+                inst.costs[res.cols[cols]], node.col_ptr, node.col_rows, int(rows.sum())
+            )
+            if lp["value"] is None:
+                assert want is None and "bound" not in lp
+                continue
+            # the model holds the node's own rows and as many columns as it allows
+            assert np.array_equal(rows, lp["node_rows"]) and len(cols) == lp["node_cols"]
+            assert abs(lp["value"] - want[0]) <= SOLVER_TOL * max(1.0, want[0])
+            assert lp["bound"] <= lp["value"]
+            checked += 1
+    assert checked > 40 and searched[-1] is product
+    assert {len(inst.target) for inst in searched} >= {14, 25, 35, 40, 80}
+
+
 def test_every_node_lp_goes_through_the_linprog_name(monkeypatch):
     # Wrapping ``optimizer.linprog`` sees each node LP the search solves;
-    # the root LP is one priced HiGHS model of its own.
+    # the root LP is one priced HiGHS model of its own, and the node LPs
+    # all re-solve one model of the residual problem.
     seen, models = [], []
     route = optimizer.linprog
-    assert route is optimizer._covering_lp
 
-    def spy(*lp):
-        seen.append(lp)
-        return route(*lp)
+    def spy(model):
+        seen.append(model)
+        return route(model)
 
     class Spy(optimizer._highs._Highs):
         def __init__(self):
@@ -1246,13 +1334,15 @@ def test_every_node_lp_goes_through_the_linprog_name(monkeypatch):
     solve_fractional(inst)
     assert len(models) == 1 and not seen  # H and W share the priced root
     # an odd cycle: the search branches, and every node LP is seen
+    models.clear()
     space = cycle_metric(25)
     inst = build_cover_instance(
         space, uniform_measure(space), 0.0, Premeasure.constant_nonempty(1.0),
         space.point_ids, 1.0,
     )
     solve_integer(inst)
-    assert len(seen) > 1 and len(models) == 2 + len(seen)
+    assert len(seen) > 1 and len(models) == 2  # the root and the residual
+    assert all(model is models[1] for model in seen)
 
 
 def _python(code, *path):
@@ -1331,7 +1421,7 @@ def test_adapter_passes_the_options_linprog_passes(monkeypatch):
     monkeypatch.setattr(core, "_Highs", Spy)  # the class linprog's wrapper and the adapter make
     lp = (np.ones(2), np.array([0, 1, 2]), np.array([0, 0]), 1)
     _linprog_reference(*lp)
-    optimizer._covering_lp(*lp)
+    _posed(*lp)
     via_linprog, direct = seen
     names = [n for n in dir(direct) if not n.startswith("_")]
     assert len(names) > 50
