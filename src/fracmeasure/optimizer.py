@@ -26,8 +26,9 @@ one prefix sum per center row (``BallGrid.sums``, which
 ``BallGrid.mass`` uses too), or on products a matrix product of the
 factor indicators with ``y`` (``RectangleGrid.sums``).  The ``Ball`` or ``Rectangle`` of each
 candidate, and the CSR incidence of all of them on the target, are views
-built only when read; only the search on a cell the root LP leaves
-undecided reads the incidence.
+built only when read, and no solve reads them: the search cuts the
+members of its own columns from the grid (``_Prefixes.members``,
+``_Pairs.members``).
 
 The root LP (``CoverInstance._root``, ``_priced_root``) is shared by H
 and W and computed once per instance, when a solver first needs it.  It
@@ -57,23 +58,22 @@ whenever they meet, and on a line, where the incidence is an interval
 matrix, they always do.
 
 Only when the root leaves H undecided is the residual problem built
-(``CoverInstance._residual``): the incidence of the positive
-finite-cost candidates on the root's rows.  One lossless set-cover
+(``_residual``, for that search alone): the incidence of the positive
+finite-cost candidates that hold a root row, the same selection the
+root prices from, on the root's rows.  One lossless set-cover
 reduction (``_reduce``; Beasley 1987, Caprara, Fischetti & Toth 2000)
 shrinks it by three exact rules run until no row drops: of columns with
 identical member sets only the cheapest stays (ties to the lowest
 index); a column inside another kept column of equal or lower cost
 goes; a row whose candidate set contains another row's goes, since
-covering that row covers it (of two equal rows the lower index stays).
+covering that row covers it (of two equal rows the lower index stays);
+and a column left with no kept row goes.
 Each set is held as packed bits, 64 members to a ``uint64`` word, so
 both questions are exact word comparisons: identical sets are adjacent
 once sorted by their words, and containment is tested only against the
 columns (or rows) that hold the rarest element, in bounded chunks of
 pairs.  The search runs on the reduced problem from the root's bound and
-incumbent; its choices map back to the public candidates.  The size
-rule: residual problems with fewer than ``_REDUCE_MIN_COLS`` (64)
-columns are searched as given, because their LPs are tiny and the
-reduction's fixed cost would not pay off.
+incumbent; its choices map back to the public candidates.
 
 Every LP is a model of scipy's bundled HiGHS bindings, called directly
 with the options linprog passes and the matrix by columns.  Each model
@@ -205,8 +205,9 @@ class CoverInstance:
     (or ``Rectangle``) of each candidate, and the CSR incidence
     ``indptr``, ``indices``: the members of candidate ``j`` inside the
     target are the target positions ``indices[indptr[j]:indptr[j + 1]]``
-    (in no particular order).  The solvers read neither unless the root
-    LP leaves H undecided: then the search reads the incidence.
+    (in no particular order).  No solve reads ``candidates``, ``indptr``
+    or ``indices``; the instance caches only the root LP that H and W
+    share.
     """
 
     space: FiniteMetricSpace | ProductSpace
@@ -254,29 +255,6 @@ class CoverInstance:
         """
         return _priced_root(self._family, self.costs, len(self.target))
 
-    @cached_property
-    def _residual(self) -> _Residual:
-        """The reduced residual problem the search runs on (module docstring).
-
-        Built only when the root LP does not decide H.
-        """
-        costs = self.costs
-        rows = np.zeros(len(self.target), dtype=bool)
-        rows[self._root.rows] = True
-        owner = np.repeat(np.arange(len(costs)), np.diff(self.indptr))
-        gain = np.bincount(owner[rows[self.indices]], minlength=len(costs))
-        cols = np.flatnonzero(np.isfinite(costs) & (costs > 0.0) & (gain > 0))
-        del owner  # entry-sized: free it before the incidence is built
-        inc = _incidence(self.indptr, self.indices, cols, rows)
-        if len(cols) >= _REDUCE_MIN_COLS:
-            # Reduce, then keep the kept columns that still meet a kept row.
-            kept, kept_rows = _reduce(inc, costs[cols])
-            gain = np.bincount(inc.col_of[kept_rows[inc.col_rows]], minlength=len(cols))
-            kept = kept[gain[kept] > 0]
-            inc, cols = _incidence(inc.col_ptr, inc.col_rows, kept, kept_rows), cols[kept]
-            rows[rows] = kept_rows
-        return _Residual(rows=np.flatnonzero(rows), cols=cols, inc=inc)
-
 
 @dataclass(frozen=True)
 class IntegerCoverSolution:
@@ -288,15 +266,24 @@ class IntegerCoverSolution:
     nodes: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalCoverSolution:
-    """weights per candidate, feasible dual potentials and the closed gap."""
+    """Weights per candidate, feasible dual potentials and the closed gap.
 
-    weights: tuple[float, ...]
+    ``weights[j]`` is the weight of candidate ``j`` and ``dual[k]`` the
+    dual potential of target position ``k``, both read-only float arrays;
+    on ``infeasible-infinite`` both are all zeros.
+    """
+
+    weights: np.ndarray
     value: float
-    dual: dict
+    dual: np.ndarray
     gap: float
     status: str
+
+    def __post_init__(self) -> None:
+        self.weights.setflags(write=False)
+        self.dual.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -544,7 +531,7 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
     if not rows.size:  # nothing left for the LP
         none, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
         return _Root(free, rows, 0.0, empty, 0.0, 0.0, none, empty, csr_offsets(none), none)
-    useful = np.isfinite(costs) & (costs > 0.0) & (family.loads(left.astype(float)) > 0.0)
+    useful = _useful(family, costs, left)
     cols = _best_per_center(costs, useful, family.center)
     left[family.members(cols)[1]] = False
     if left.any():
@@ -591,6 +578,11 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
     return _Root(free, rows, value, y, slack, bound, support, weights, *on_rows(support))
 
 
+def _useful(family, costs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask of the positive finite-cost candidates that hold a row marked in ``rows``."""
+    return np.isfinite(costs) & (costs > 0.0) & (family.loads(rows.astype(float)) > 0.0)
+
+
 def _certified(y: np.ndarray, loads: np.ndarray, costs: np.ndarray) -> float:
     """A certified lower bound on a covering LP by weak duality, from its dual ``y``.
 
@@ -623,7 +615,7 @@ class _Incidence(NamedTuple):
 
 
 class _Residual(NamedTuple):
-    """The covering problem the search runs on (``CoverInstance._residual``).
+    """The covering problem the search runs on (``_residual``).
 
     The rows are the target positions ``rows`` and the columns the
     candidates ``cols``, both ascending; ``inc`` is their incidence.
@@ -679,9 +671,6 @@ def _incidence(
 
 # --- lossless reduction -------------------------------------------------
 
-# Instances with fewer finite-cost columns than this are solved as given:
-# their LPs are tiny, and the reduction's fixed cost would not pay off.
-_REDUCE_MIN_COLS = 64
 # Candidate pairs that the containment test holds at once.
 _CHUNK = 1 << 14
 
@@ -771,7 +760,7 @@ def _reduce(inc: _Incidence, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lossless set-cover reduction: the kept columns, ascending, and a kept-row mask.
 
     Every row of ``inc`` is to be covered.  Three exact rules run until
-    no row drops:
+    no row drops, and then the columns left with no kept row drop too:
 
     * of columns with identical row sets, only the cheapest is kept
       (ties to the lowest index);
@@ -813,7 +802,7 @@ def _reduce(inc: _Incidence, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             lambda a, b: (size[b] > size[a]) | ((size[b] == size[a]) & (a < b)),
         )
         if not covering.any():
-            return np.flatnonzero(cols), rows
+            return np.flatnonzero(np.bincount(col, minlength=n)), rows  # meeting a kept row
         rows &= ~covering
         col, col_row = _live(col, col_row, cols, rows)
         row, row_col = _live(row, row_col, rows, cols)
@@ -957,11 +946,7 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
     root = instance._root
     if root is None:  # a point no finite-cost candidate covers
         return FractionalCoverSolution(
-            weights=(0.0,) * n,
-            value=INF,
-            dual={},
-            gap=0.0,
-            status="infeasible-infinite",
+            weights=np.zeros(n), value=INF, dual=np.zeros(m), gap=0.0, status="infeasible-infinite"
         )
     value = root.value
     weights, dual = np.zeros(n), np.zeros(m)
@@ -980,15 +965,29 @@ def solve_fractional(instance: CoverInstance) -> FractionalCoverSolution:
         raise NumericalFailure(value, float(dual.sum()), "duality gap above tolerance")
 
     return FractionalCoverSolution(
-        weights=tuple(weights.tolist()),
-        value=value,
-        dual=dict(zip(instance.target, dual.tolist())),
-        gap=gap,
-        status="optimal",
+        weights=weights, value=value, dual=dual, gap=gap, status="optimal"
     )
 
 
 # --- integer solver -----------------------------------------------------
+
+
+def _residual(instance: CoverInstance) -> _Residual:
+    """The reduced residual problem a search runs on (module docstring).
+
+    Its columns are the candidates ``_useful`` marks for the root's rows,
+    their members cut from the grid, so no incidence of the whole
+    instance is built.
+    """
+    family, costs = instance._family, instance.costs
+    rows = np.zeros(len(instance.target), dtype=bool)
+    rows[instance._root.rows] = True
+    cols = np.flatnonzero(_useful(family, costs, rows))
+    inc = _incidence(*family.members(cols), np.arange(len(cols)), rows)
+    kept, kept_rows = _reduce(inc, costs[cols])
+    rows[rows] = kept_rows
+    inc = _incidence(inc.col_ptr, inc.col_rows, kept, kept_rows)
+    return _Residual(rows=np.flatnonzero(rows), cols=cols[kept], inc=inc)
 
 
 def _round_to_cover(x, cost, col_ptr, col_rows, rows) -> list[int] | None:
@@ -1075,7 +1074,7 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
         return done(1)
 
     # The root leaves H undecided: search the reduced residual problem.
-    res = instance._residual
+    res = _residual(instance)
     inc, cols = res.inc, res.cols
     m, n = len(res.rows), len(cols)
     cost = costs[cols]

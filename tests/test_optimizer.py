@@ -72,8 +72,7 @@ def test_five_cycle_frozen_values(five_cycle, unit_constant):
     assert h.value == pytest.approx(2.0, abs=1e-12)
     assert w.value == pytest.approx(5.0 / 3.0, abs=1e-9)
     assert h.value > w.value + 0.3
-    for point in space.point_ids:
-        assert w.dual[point] == pytest.approx(1.0 / 3.0, abs=1e-7)
+    assert w.dual.tolist() == pytest.approx([1.0 / 3.0] * 5, abs=1e-7)
     assert w.gap <= 1e-9
 
 
@@ -90,7 +89,7 @@ def test_empty_target_is_zero(two_points, linear_gauge):
     h = hausdorff_premeasure(space, measure, 1.0, linear_gauge, (), 0.6)
     w = weighted_premeasure(space, measure, 1.0, linear_gauge, (), 0.6)
     assert h.value == 0.0 and w.value == 0.0
-    assert h.chosen == () and w.weights == ()
+    assert h.chosen == () and w.weights.shape == w.dual.shape == (0,)
 
 
 def _empty_target_entry_points(space, measure, xi):
@@ -138,7 +137,7 @@ def test_a_valid_empty_target_is_zero_on_every_entry_point(two_points, linear_ga
         if isinstance(sol, optimizer.IntegerCoverSolution):
             assert (sol.chosen, sol.nodes) == ((), 0)
         else:
-            assert set(sol.weights) <= {0.0} and sol.dual == {}
+            assert not sol.weights.any() and sol.dual.shape == (0,)
     if entry == "Wtilde":  # one weight per candidate: a resolution ball at each point
         assert len(out.weights) == 2
 
@@ -155,6 +154,9 @@ def test_infeasible_gives_infinity():
     w = weighted_premeasure(space, measure, 0.0, xi, space.point_ids, 0.6)
     assert math.isinf(h.value) and h.status == "infeasible-infinite"
     assert math.isinf(w.value) and w.status == "infeasible-infinite"
+    # one weight per candidate and one dual per target point, all zero and read-only
+    assert not w.weights.any() and w.dual.tolist() == [0.0] * 3
+    assert not (w.weights.flags.writeable or w.dual.flags.writeable)
     inst = build_cover_instance(space, measure, 0.0, xi, space.point_ids, 0.6)
     int_opt, frac_opt = brute_force_oracle(inst)
     assert math.isinf(int_opt) and math.isinf(frac_opt)
@@ -480,7 +482,10 @@ def test_line_integer_matches_fractional_at_root(name, q):
 
 
 def _milp_value(inst):
-    """H by HiGHS's MIP over the 0/1 finite-cost columns, its cover rechecked."""
+    """H by HiGHS's MIP over the 0/1 finite-cost columns, its cover rechecked.
+
+    Infinite when no finite-cost cover of the target exists.
+    """
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -495,6 +500,8 @@ def _milp_value(inst):
         constraints=LinearConstraint(a, lb=1.0),
         options={"mip_rel_gap": 0.0},
     )
+    if res.status == 2:  # infeasible
+        return INF
     assert res.status == 0, res.message
     chosen = cols[res.x > 0.5]
     assert _covers(inst, chosen)
@@ -641,9 +648,13 @@ def test_reduction_drops_only_dominated_columns_and_rows(reduction_instances):
             {j for j in inc.row_cols[inc.row_ptr[r] : inc.row_ptr[r + 1]].tolist() if cols[j]}
             for r in range(len(rows))
         ]
+        # every kept column meets a kept row
+        assert all(col_sets[j] for j in kept.tolist())
         for j in np.flatnonzero(~cols).tolist():
-            # equal to, or inside, a kept column of equal or lower cost
-            assert any(col_sets[j] <= col_sets[i] and cost[i] <= cost[j] for i in kept.tolist())
+            # meets no kept row, or is equal to, or inside, a kept column of equal or lower cost
+            assert not col_sets[j] or any(
+                col_sets[j] <= col_sets[i] and cost[i] <= cost[j] for i in kept.tolist()
+            )
         for r in np.flatnonzero(~rows).tolist():
             # holds every kept column of some kept row
             assert any(row_sets[k] <= row_sets[r] for k in np.flatnonzero(rows).tolist())
@@ -662,10 +673,11 @@ def _check_containment_on_128_rows(shift):
     # holds the rarest row 66 of column 0 = {1, 66} but not row 1, and
     # only the first words show it; with every row shifted by 64, only
     # the second words do.  Columns 2 and 3 make row 1 the commoner, and
-    # every row has a dear singleton column.
+    # every row has a singleton column, cheaper than the rest, so no
+    # column or row is dominated: each kept column keeps a kept row.
     members = [[1, 66], [2, 65, 66], [1, 3], [1, 4]] + [[r] for r in range(128)]
     members = [[(r + shift) % 128 for r in c] for c in members]
-    cost = np.array([1.0, 1.0, 10.0, 10.0] + [10.0] * 128)
+    cost = np.array([1.0, 1.0, 10.0, 10.0] + [0.5] * 128)
     indptr = np.cumsum([0] + [len(c) for c in members])
     indices = np.concatenate(members)
     inc = optimizer._incidence(indptr, indices, np.arange(len(cost)), np.ones(128, dtype=bool))
@@ -689,7 +701,7 @@ def _fresh(inst):
 
 
 def _check_reduced_solves(inst, plain_h):
-    """H and W of the reduced path against the plain H value and the full instance."""
+    """H and W of the reduced path against a reference H value and the full instance."""
     fresh = _fresh(inst)
     h, w = solve_integer(fresh), solve_fractional(fresh)
     if math.isinf(plain_h):
@@ -707,28 +719,19 @@ def _check_reduced_solves(inst, plain_h):
 def _check_certified_on_the_full_instance(inst, w):
     """W's weights cover and its dual is feasible and closes the gap, on all finite-cost candidates."""
     cols, cost, inc = _full_problem(inst)
-    x = np.array(w.weights)
-    assert not np.any(x[~np.isfinite(inst.costs)])
+    x = w.weights
+    assert len(x) == len(inst.costs) and not np.any(x[~np.isfinite(inst.costs)])
     coverage = np.bincount(inc.row_of, weights=x[cols][inc.row_cols], minlength=len(inst.target))
     assert np.all(coverage >= 1.0 - SOLVER_TOL)
-    y = np.array([w.dual[p] for p in inst.target])
+    y = w.dual
     loads = np.bincount(inc.row_cols, weights=y[inc.row_of], minlength=len(cols))
     assert np.all(loads <= cost + SOLVER_TOL)
     assert abs(y.sum() - w.value) <= SOLVER_TOL * max(1.0, w.value)
 
 
-@pytest.mark.parametrize("always", [False, True], ids=["size-rule", "always"])
-def test_reduced_solves_cover_and_certify_on_the_full_instance(
-    monkeypatch, reduction_instances, always
-):
-    plain = []
-    with monkeypatch.context() as mp:
-        mp.setattr(optimizer, "_REDUCE_MIN_COLS", 2**62)
-        plain = [solve_integer(_fresh(inst)).value for inst in reduction_instances]
-    if always:
-        monkeypatch.setattr(optimizer, "_REDUCE_MIN_COLS", 0)
-    for inst, plain_h in zip(reduction_instances, plain):
-        _check_reduced_solves(inst, plain_h)
+def test_reduced_solves_cover_and_certify_on_the_full_instance(reduction_instances):
+    for inst in reduction_instances:
+        _check_reduced_solves(inst, _milp_value(inst))
 
 
 def _reference_reduction(inc, cost):
@@ -737,7 +740,8 @@ def _reference_reduction(inc, cost):
     Of identical columns the cheapest stays (ties to the lowest index);
     a nonempty column strictly inside a kept column of equal or lower
     cost drops; a row drops when the nonempty column set of another row
-    lies strictly inside its own, or equals it at a lower index.
+    lies strictly inside its own, or equals it at a lower index.  Then
+    the kept columns that meet no kept row drop.
     """
     n, m = len(cost), len(inc.row_ptr) - 1
     bounds = inc.col_ptr.tolist()
@@ -765,7 +769,7 @@ def _reference_reduction(inc, cost):
             )
         }
         if not covering:
-            return sorted(cols), [r in rows for r in range(m)]
+            return sorted(j for j in cols if members[j] & rows), [r in rows for r in range(m)]
         rows -= covering
 
 
@@ -881,8 +885,8 @@ def test_zero_cost_candidates_get_weight_one_and_their_points_dual_zero():
     free = np.flatnonzero(inst.costs == 0.0)
     assert len(free)
     w, h = solve_fractional(inst), solve_integer(inst)
-    assert np.all(np.array(w.weights)[free] == 1.0)
-    assert w.dual[a] == 0.0
+    assert np.all(w.weights[free] == 1.0)
+    assert w.dual[inst.target.index(a)] == 0.0
     assert set(free.tolist()) <= set(h.chosen)
     assert w.value == pytest.approx(h.value, abs=1e-12)
     _check_certified_on_the_full_instance(inst, w)
@@ -988,7 +992,7 @@ def test_a_zero_cost_cell_keeps_its_value():
     free = np.flatnonzero(inst.costs == 0.0)
     assert len(free)
     w = _check_priced_w(inst)
-    assert np.all(np.array(w.weights)[free] == 1.0)
+    assert np.all(w.weights[free] == 1.0)
 
 
 def test_a_noncentered_w_on_a_proper_subset_keeps_its_value():
@@ -1033,8 +1037,16 @@ def test_a_net_cell_decided_at_the_root_builds_no_incidence():
     inst = build_cover_instance(space, mu, 0.0, xi, space.point_ids, 1.0 / 9.0)
     h, w = solve_integer(inst), solve_fractional(inst)
     assert h.nodes == 1 and abs(h.value - w.value) <= SOLVER_TOL * max(1.0, w.value)
-    # the incidence (indptr, indices) is cached as _csr once read
-    assert "_csr" not in inst.__dict__ and "_residual" not in inst.__dict__
+    _check_only_the_root_is_cached(inst)
+
+
+def _check_only_the_root_is_cached(inst):
+    """The instance holds its fields, its grid on the target and the root LP, nothing more.
+
+    In particular no incidence: ``indptr`` and ``indices`` are cached as ``_csr`` once read.
+    """
+    fields = {f.name for f in dataclasses.fields(inst)}
+    assert set(inst.__dict__) == fields | {"_family", "_root"}
 
 
 def test_building_and_solving_never_make_the_candidate_objects(monkeypatch):
@@ -1073,7 +1085,6 @@ def test_building_and_solving_never_make_the_candidate_objects(monkeypatch):
 def test_the_integer_search_builds_no_incidence_of_its_own(monkeypatch):
     # The root LP of this cell leaves H undecided, so the search runs.
     inst = _mip_cell((80, -1.0, 0.5))
-    assert np.count_nonzero(inst.costs > 0.0) >= optimizer._REDUCE_MIN_COLS
     calls = []
     incidence = optimizer._incidence
     monkeypatch.setattr(optimizer, "_incidence", lambda *a: calls.append(a) or incidence(*a))
@@ -1082,9 +1093,54 @@ def test_the_integer_search_builds_no_incidence_of_its_own(monkeypatch):
     h = solve_integer(inst)
     assert h.nodes > 1
     assert len(calls) == 2  # the residual problem and its reduction, nothing in the search
-    cols = inst._residual.cols
+    _check_only_the_root_is_cached(inst)  # the residual lived as long as the search
+    cols = optimizer._residual(inst).cols
     assert len(cols) < np.count_nonzero(inst.costs > 0.0) and np.all(np.diff(cols) > 0)
     assert h.value >= w.value - SOLVER_TOL
+
+
+def _zero_and_infinite_cost_cell():
+    # At q = -1 the last point, of no mass, makes its own ball cost
+    # infinity; the first, of no mass under the premeasure's measure,
+    # makes its own ball free.
+    space = validate_space(coords=np.array([0.0, 0.2, 0.4, 0.6, 0.9]), epsilon_net=0.1)
+    ids = space.point_ids
+    mu = point_measure(space, dict(zip(ids, [0.25] * 4 + [0.0])))
+    nu = point_measure(space, dict(zip(ids, [0.0] + [0.25] * 4)))
+    xi = Premeasure.measure_power(nu, 1.0, HausdorffFunction.power_law(0.5), 1.0, 1.0)
+    return build_cover_instance(space, mu, -1.0, xi, ids, 0.5)
+
+
+def test_the_residual_selects_from_the_grid_what_the_incidence_selects(
+    monkeypatch, reduction_instances
+):
+    # With the reduction keeping everything, the residual is the selection
+    # itself: the positive finite-cost candidates with a member among the
+    # root's rows, and their incidence on those rows, read here off the CSR.
+    monkeypatch.setattr(
+        optimizer, "_reduce",
+        lambda inc, cost: (np.arange(len(cost)), np.ones(len(inc.row_ptr) - 1, dtype=bool)),
+    )
+    special = _zero_and_infinite_cost_cell()
+    assert (special.costs == 0.0).any() and np.isinf(special.costs).any()
+    checked = []
+    for inst in [*_seeded_instances(), *reduction_instances, special]:
+        root = inst._root
+        if root is None or not len(root.rows):
+            continue
+        fresh = _fresh(inst)
+        res = optimizer._residual(fresh)
+        assert "_csr" not in fresh.__dict__
+        rows = np.zeros(len(inst.target), dtype=bool)
+        rows[root.rows] = True
+        owner = np.repeat(np.arange(len(inst.costs)), np.diff(inst.indptr))
+        hits = np.bincount(owner[rows[inst.indices]], minlength=len(inst.costs))
+        want = np.flatnonzero(np.isfinite(inst.costs) & (inst.costs > 0.0) & (hits > 0))
+        assert np.array_equal(res.cols, want) and np.array_equal(res.rows, root.rows)
+        inc = optimizer._incidence(inst.indptr, inst.indices, want, rows)
+        assert all(np.array_equal(a, b) for a, b in zip(res.inc, inc))
+        checked.append(inst)
+    assert len(checked) > 100 and checked[-1] is special
 
 
 def _lexsorted_best_per_center(key, eligible, center):
@@ -1235,7 +1291,7 @@ def test_a_warm_model_reports_a_bare_row_infeasible_and_solves_on():
     # residual model is made one: every column of one row banned.
     inst = _mip_cell((40, -1.0, 0.5))
     solve_integer(inst)
-    res = inst._residual
+    res = optimizer._residual(inst)
     cost, inc, m = inst.costs[res.cols], res.inc, len(res.rows)
     model = optimizer._covering_model(cost, inc.col_ptr, inc.col_rows, m)
     bare = inc.row_cols[inc.row_ptr[0] : inc.row_ptr[1]].astype(np.int32)
@@ -1290,7 +1346,7 @@ def test_warm_node_lps_match_linprog_and_certify_below_it(monkeypatch):
             solve_integer(inst)
         if lps:
             searched.append(inst)
-        res = inst._residual if lps else None
+        res = optimizer._residual(inst) if lps else None
         for lp in lps:
             rows, cols = lp["rows"], np.flatnonzero(lp["allowed"])
             node = optimizer._incidence(res.inc.col_ptr, res.inc.col_rows, cols, rows)
@@ -1395,7 +1451,7 @@ def test_the_bindings_are_scipys_own_module_in_either_import_order():
         "space = random_cloud(40, 2, 7)\n"
         "power = Premeasure.from_gauge(HausdorffFunction.power_law(math.log(2) / math.log(3)))\n"
         "w = weighted_premeasure(space, uniform_measure(space), -1.0, power, space.point_ids, 0.3)\n"
-        "print(w.value.hex(), hashlib.sha256(np.array(w.weights).tobytes()).hexdigest())\n"
+        "print(w.value.hex(), hashlib.sha256(w.weights.tobytes()).hexdigest())\n"
     )
     default = _python(solve)
     assert default.returncode == 0, default.stderr
