@@ -729,9 +729,25 @@ def _check_certified_on_the_full_instance(inst, w):
     assert abs(y.sum() - w.value) <= SOLVER_TOL * max(1.0, w.value)
 
 
-def test_reduced_solves_cover_and_certify_on_the_full_instance(reduction_instances):
+def _unreduced_h(monkeypatch, inst):
+    """H by the search over the residual with ``_reduce`` keeping everything."""
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            optimizer, "_reduce",
+            lambda inc, cost: (np.arange(len(cost)), np.ones(len(inc.row_ptr) - 1, dtype=bool)),
+        )
+        return solve_integer(_fresh(inst)).value
+
+
+# "size-rule": the reference is the unreduced search, the route a size rule
+# once took below its threshold; "always": the reference is HiGHS's MIP.
+@pytest.mark.parametrize("unreduced", [True, False], ids=["size-rule", "always"])
+def test_reduced_solves_cover_and_certify_on_the_full_instance(
+    monkeypatch, reduction_instances, unreduced
+):
     for inst in reduction_instances:
-        _check_reduced_solves(inst, _milp_value(inst))
+        plain_h = _unreduced_h(monkeypatch, inst) if unreduced else _milp_value(inst)
+        _check_reduced_solves(inst, plain_h)
 
 
 def _reference_reduction(inc, cost):
