@@ -33,15 +33,15 @@ def blanketing_ratio(
     radii: Sequence[float],
 ) -> float:
     """max over grid radii and support points of mu(B(x, a r)) / mu(B(x, r))."""
-    if not a > 1.0:
-        raise InvalidInput("dilation factor must exceed 1")
+    if not 1.0 < a < INF:
+        raise InvalidInput(f"dilation factor must be finite and exceed 1, got {a!r}")
     if not radii:
         raise EmptyGrid("blanketing needs a nonempty radius grid")
     supp = sorted(measure.support, key=space.index_of)
     best = 0.0
     for r in radii:
-        if not r > 0.0:
-            raise InvalidInput("grid radii must be positive")
+        if not 0.0 < r < INF:
+            raise InvalidInput(f"grid radii must be positive and finite, got {r!r}")
         for x in supp:
             num = ball_mass(space, measure, Ball(center=x, radius=a * r))
             den = ball_mass(space, measure, Ball(center=x, radius=float(r)))
@@ -63,8 +63,8 @@ def premeasure_doubling(
         raise EmptyGrid("doubling needs a nonempty radius grid")
     best = 0.0
     for r in radii:
-        if not r > 0.0:
-            raise InvalidInput("grid radii must be positive")
+        if not 0.0 < r < INF:
+            raise InvalidInput(f"grid radii must be positive and finite, got {r!r}")
         for x in space.point_ids:
             den = eval_premeasure(xi, space, Ball(center=x, radius=float(r)))
             if den == 0.0:
@@ -93,12 +93,14 @@ def upper_density_profile(
     """
     if not radii:
         raise EmptyGrid("density profile needs a nonempty radius grid")
+    if not -INF < tail < INF:
+        raise InvalidInput(f"tail must be finite, got {tail!r}")
     if measure.mass_of(point) <= 0.0:
         raise InvalidInput("profile point must carry positive mass")
     rows = []
     for r in sorted(float(r) for r in radii):
-        if not r > 0.0:
-            raise InvalidInput("grid radii must be positive")
+        if not 0.0 < r < INF:
+            raise InvalidInput(f"grid radii must be positive and finite, got {r!r}")
         b = Ball(center=point, radius=r)
         num = ball_mass(space, nu, b)
         den = weight_term(space, measure, q, xi, b)

@@ -242,15 +242,12 @@ def validate_space(
 
     if dist is not None:  # distances from coords alone are Euclidean: no scan
         best = np.full_like(d_arr, np.inf)
-        arg = np.zeros(d_arr.shape, dtype=int)
         for j in range(n):  # best[i, k] = min over pivots j of d(i,j)+d(j,k)
-            via_j = d_arr[:, j : j + 1] + d_arr[j : j + 1, :]
-            better = via_j < best
-            best = np.where(better, via_j, best)
-            arg[better] = j
+            np.minimum(best, d_arr[:, j : j + 1] + d_arr[j : j + 1, :], out=best)
         bad = np.argwhere(best - d_arr < -INVARIANT_TOL)
-        for i, k in bad[:8]:
-            violations.append(TriangleViolation(int(i), int(arg[i, k]), int(k)))
+        for i, k in bad[:8]:  # each with its first pivot of least d(i,j)+d(j,k)
+            j = int(np.argmin(d_arr[i, :] + d_arr[:, k]))
+            violations.append(TriangleViolation(int(i), j, int(k)))
 
     if not epsilon_net > 0.0:
         violations.append(NonPositiveEpsilon(float(epsilon_net)))

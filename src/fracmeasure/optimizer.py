@@ -76,21 +76,23 @@ pairs.  The search runs on the reduced problem from the root's bound and
 incumbent; its choices map back to the public candidates.
 
 Every LP is a model of scipy's bundled HiGHS bindings, called directly
-with the options linprog passes and the matrix by columns.  Each model
-is solved warm: the priced root grows one model, and the search builds
-one more, of the residual LP, from the column side of the residual
-incidence (``_Incidence``), which ``_incidence`` alone puts in order
-and nothing sorts or transposes again.  Each node LP below the root
-changes that model's bounds in place, where they differ from the last
-solve, and re-solves it from its basis: the rows the node has covered
-get upper bound +inf and its banned columns upper bound 0.  So no LP is
-linprog's to the bit, only within SOLVER_TOL of it.  HiGHS
-reporting an LP optimal gives the solution, infeasible gives None, and
-any other status, or a HiGHS error, raises NumericalFailure.  The
-bindings are private API; a scipy without them (older than 1.15) fails
-this module's import.  They are loaded by the file path of their
-extension module (``_load_highs``), so ``scipy.optimize``'s package init
-never runs: this module imports only the top-level ``scipy`` package.
+with the options linprog passes and posed one way: ``_covering_model``
+makes its covering rows, and every column enters through
+``_add_columns``.  Each model is solved warm: the priced root grows one
+model a round of columns at a time, and the search builds one more, of
+the residual LP, from the column side of the residual incidence
+(``_Incidence``), which ``_incidence`` alone puts in order and nothing
+sorts or transposes again.  Each node LP below the root changes that
+model's bounds in place, where they differ from the last solve, and
+re-solves it from its basis: the rows the node has covered get upper
+bound +inf and its banned columns upper bound 0.  So no LP is linprog's
+to the bit, only within SOLVER_TOL of it.  HiGHS reporting an LP optimal
+gives the solution, infeasible gives None, and any other status, or a
+HiGHS error, raises NumericalFailure.  The bindings are private API; a
+scipy without them (older than 1.15) fails this module's import.  They
+are loaded by the file path of their extension module (``_load_highs``),
+so ``scipy.optimize``'s package init never runs: this module imports
+only the top-level ``scipy`` package.
 
 The integer solver is branch and bound.  Pruning uses two admissible
 lower bounds: the cheap bound (sum over uncovered points of the cheapest
@@ -532,13 +534,13 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
         none, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
         return _Root(free, rows, 0.0, empty, 0.0, 0.0, none, empty, csr_offsets(none), none)
     useful = _useful(family, costs, left)
-    cols = _best_per_center(costs, useful, family.center)
-    left[family.members(cols)[1]] = False
+    new = _best_per_center(costs, useful, family.center)
+    left[family.members(new)[1]] = False
     if left.any():
         more, left = _span(family, useful, left)
         if left.any():
             return None
-        cols = np.concatenate([cols, more])
+        new = np.concatenate([new, more])
 
     rank = np.full(m, -1, dtype=np.intp)
     rank[rows] = np.arange(len(rows))
@@ -550,11 +552,13 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
         keep = r >= 0
         return csr_offsets(keep)[ptr], r[keep]
 
-    model = _covering_model(costs[cols], *on_rows(cols), len(rows))
-    in_model = np.zeros(n, dtype=bool)
-    in_model[cols] = True
+    model = _covering_model(len(rows))
+    cols, in_model = np.zeros(0, dtype=np.intp), np.zeros(n, dtype=bool)
     y_full = np.zeros(m)  # the dual on the whole target, 0 off the LP's rows
-    while True:
+    while new.size:  # the start set is the first round
+        _add_columns(model, costs[new], *on_rows(new))
+        cols = np.concatenate([cols, new])
+        in_model[new] = True
         out = _optimum(model)
         if out is None:
             raise NumericalFailure(
@@ -566,11 +570,6 @@ def _priced_root(family, costs: np.ndarray, m: int) -> _Root | None:
         loads = family.loads(y_full)
         reduced = costs - loads  # infinite costs stay infinite
         new = _best_per_center(reduced, ~in_model & (reduced < -SOLVER_TOL), family.center)
-        if not new.size:
-            break
-        _add_columns(model, costs[new], *on_rows(new))
-        cols = np.concatenate([cols, new])
-        in_model[new] = True
     pos = x > 0.0
     order = np.argsort(cols[pos])
     support, weights = cols[pos][order], x[pos][order]
@@ -852,30 +851,21 @@ _HIGHS_INF = _highs.kHighsInf
 _HIGHS_ERROR = _highs.HighsStatus.kError
 _OPTIMAL = _highs.HighsModelStatus.kOptimal
 _INFEASIBLE = _highs.HighsModelStatus.kInfeasible
-_COLWISE = int(_highs.MatrixFormat.kColwise)
-_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
-def _covering_model(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray, m: int):
-    """A HiGHS model of min c.x, x >= 0, the x of each row's columns summing to >= 1, on ``m`` rows.
+def _covering_model(m: int):
+    """A HiGHS model of min c.x, x >= 0, on ``m`` covering rows and no columns yet.
 
-    The 0/1 constraint matrix is given by columns: column ``j`` holds the
-    rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``, distinct, in any order.
-    HiGHS gets the LP as ``-A x <= -1``, with these arrays as int32, as
-    linprog hands it over, and the options linprog passes.
+    Each row is the constraint ``-A x <= -1``, as linprog hands a covering
+    LP over, and the options are the ones linprog passes; every column
+    enters through ``_add_columns``.
     """
-    n, nnz = len(costs), len(col_rows)
     model = _highs._Highs()
     if (
         model.passOptions(_HIGHS_OPTIONS) == _HIGHS_ERROR
-        # The array form of passModel needs an integrality vector; all
-        # zeros (continuous) keeps the model a plain LP.
-        or model.passModel(
-            n, m, nnz, _COLWISE, _MINIMIZE, 0.0,
-            costs, np.zeros(n), np.full(n, _HIGHS_INF),
-            np.full(m, -_HIGHS_INF), np.full(m, -1.0),
-            col_ptr.astype(np.int32), col_rows.astype(np.int32), np.full(nnz, -1.0),
-            np.zeros(n, dtype=np.int32),
+        or model.addRows(
+            m, np.full(m, -_HIGHS_INF), np.full(m, -1.0),
+            0, np.zeros(m, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0),
         ) == _HIGHS_ERROR
     ):
         raise _highs_error(model)
@@ -883,7 +873,12 @@ def _covering_model(costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray
 
 
 def _add_columns(model, costs: np.ndarray, col_ptr: np.ndarray, col_rows: np.ndarray) -> None:
-    """Add columns, given as in ``_covering_model``; the model keeps its basis."""
+    """Add columns of entries -1 to a ``_covering_model``; a model run before keeps its basis.
+
+    Column ``j`` holds the rows ``col_rows[col_ptr[j]:col_ptr[j + 1]]``,
+    distinct, in any order; HiGHS gets these arrays as int32, as linprog
+    hands them over.
+    """
     n, nnz = len(costs), len(col_rows)
     if model.addCols(
         n, costs, np.zeros(n), np.full(n, _HIGHS_INF), nnz,
@@ -1085,7 +1080,8 @@ def solve_integer(instance: CoverInstance, node_limit: int = _NODE_LIMIT) -> Int
     cheapest = np.minimum.reduceat(cost[inc.row_cols], inc.row_ptr[:-1]).tolist()
     maxcov = int(np.diff(inc.col_ptr).max())
 
-    model = _covering_model(cost, inc.col_ptr, inc.col_rows, m)
+    model = _covering_model(m)
+    _add_columns(model, cost, inc.col_ptr, inc.col_rows)
     posed_rows, posed_bans = np.ones(m, dtype=bool), np.zeros(n, dtype=bool)
 
     def lp_bound(rem: np.ndarray, banned: np.ndarray):

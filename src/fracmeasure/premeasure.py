@@ -92,8 +92,8 @@ class HausdorffFunction:
         return HausdorffFunction(kind="constant_after_zero", constant=float(c))
 
     def __call__(self, r: float) -> float:
-        if r < 0.0:
-            raise InvalidInput("gauge argument must be nonnegative")
+        if not r >= 0.0:  # NaN too
+            raise InvalidInput(f"gauge argument must be nonnegative, got {r!r}")
         if self.kind == "power":
             return float(r) ** self.power
         if self.kind == "linear":

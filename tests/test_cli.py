@@ -409,6 +409,19 @@ def test_diag_blanketing(tmp_path, capsys):
     assert value >= 1.0
 
 
+@pytest.mark.parametrize(
+    "what, radii", [("doubling", "inf"), ("doubling", "0.1,inf"), ("blanketing", "nan")]
+)
+def test_diag_nonfinite_radius_exits_2(tmp_path, capsys, what, radii):
+    inst = tmp_path / "grid.json"
+    main(["gen", "--kind", "grid", "--n", "3", "--dim", "1", "--out", str(inst)])
+    capsys.readouterr()
+    code = main(["diag", "--instance", str(inst), "--what", what, "--radii", radii])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "positive and finite" in err and "Traceback" not in err
+
+
 def test_covering_besicovitch(tmp_path, capsys):
     inst = tmp_path / "grid.json"
     main(["gen", "--kind", "grid", "--n", "3", "--dim", "1", "--out", str(inst)])

@@ -21,7 +21,7 @@ from fracmeasure import (
     weight_term,
 )
 from fracmeasure.extended import xdiv
-from fracmeasure.errors import EmptyGrid, ZeroDenominator
+from fracmeasure.errors import EmptyGrid, InvalidInput, ZeroDenominator
 
 
 def test_blanketing_two_points(two_points):
@@ -115,6 +115,48 @@ def test_density_profile_rows(two_points, linear_gauge):
     # radius 1.0: nu(B)=1.0 over term 1.0*2.0
     assert rows[2][1] == pytest.approx(0.5)
     assert surrogate == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("radii", [[INF], [0.3, INF], [math.nan], [0.0], [-0.3]])
+def test_radius_grids_must_be_positive_and_finite(two_points, linear_gauge, radii):
+    # inf / inf is NaN, which max() used to drop: doubling on [inf] read 0.0
+    space, measure = two_points
+    with pytest.raises(InvalidInput, match="positive and finite"):
+        premeasure_doubling(space, linear_gauge, radii)
+    with pytest.raises(InvalidInput, match="positive and finite"):
+        blanketing_ratio(space, measure, 2.0, radii)
+    with pytest.raises(InvalidInput, match="positive and finite"):
+        upper_density_profile(space, measure, 1.0, linear_gauge, measure, "a", radii)
+
+
+@pytest.mark.parametrize("a", [INF, math.nan])
+def test_blanketing_dilation_must_be_finite_and_exceed_one(two_points, a):
+    space, measure = two_points
+    with pytest.raises(InvalidInput, match="dilation factor"):
+        blanketing_ratio(space, measure, a, [0.4])
+
+
+@pytest.mark.parametrize("tail", [math.nan, INF, -INF])
+def test_density_profile_tail_must_be_finite(two_points, linear_gauge, tail):
+    space, measure = two_points
+    with pytest.raises(InvalidInput, match="tail must be finite"):
+        upper_density_profile(space, measure, 1.0, linear_gauge, measure, "a", [0.1], tail=tail)
+
+
+@pytest.mark.parametrize(
+    "gauge",
+    [
+        HausdorffFunction.linear(),
+        HausdorffFunction.power_law(0.5),
+        HausdorffFunction.from_table([(1.0, 1.0)]),
+        HausdorffFunction.constant_after_zero(1.0),
+    ],
+    ids=lambda h: h.kind,
+)
+@pytest.mark.parametrize("r", [math.nan, -0.5])
+def test_gauges_reject_nan_and_negative_arguments(gauge, r):
+    with pytest.raises(InvalidInput, match="gauge argument must be nonnegative"):
+        gauge(r)
 
 
 def test_density_profile_needs_support(two_points, linear_gauge):

@@ -82,6 +82,23 @@ def test_validate_rejects_triangle_violation():
     assert any(isinstance(v, TriangleViolation) for v in exc.value.violations)
 
 
+def test_triangle_violation_names_the_first_pivot_of_least_sum():
+    # d(0, 4) = 5 exceeds d(0, j) + d(j, 4), which is 3 at pivot 1 and
+    # ties at 2 for pivots 2 and 3; every other triangle holds.
+    d = np.array(
+        [
+            [0.0, 1.0, 1.0, 1.0, 5.0],
+            [1.0, 0.0, 1.0, 1.0, 2.0],
+            [1.0, 1.0, 0.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 0.0, 1.0],
+            [5.0, 2.0, 1.0, 1.0, 0.0],
+        ]
+    )
+    with pytest.raises(SpaceValidationError) as exc:
+        validate_space(dist=d, epsilon_net=0.5)
+    assert [(v.i, v.j, v.k) for v in exc.value.violations] == [(0, 2, 4), (4, 2, 0)]
+
+
 def test_validate_accepts_coords_whose_distances_round_past_the_tolerance():
     # On [0, 1e4] the sums d(i,j) + d(j,k) along the line miss d(i,k) by
     # more than INVARIANT_TOL in the last bits; the metric is Euclidean.

@@ -1286,7 +1286,9 @@ def _seeded_instances():
 
 def _posed(cost, col_ptr, col_rows, m):
     """Run the covering LP in a fresh HiGHS model, as the solvers pose it."""
-    return optimizer._optimum(optimizer._covering_model(cost, col_ptr, col_rows, m))
+    model = optimizer._covering_model(m)
+    optimizer._add_columns(model, cost, col_ptr, col_rows)
+    return optimizer._optimum(model)
 
 
 def test_adapter_reports_an_empty_row_infeasible():
@@ -1309,7 +1311,8 @@ def test_a_warm_model_reports_a_bare_row_infeasible_and_solves_on():
     solve_integer(inst)
     res = optimizer._residual(inst)
     cost, inc, m = inst.costs[res.cols], res.inc, len(res.rows)
-    model = optimizer._covering_model(cost, inc.col_ptr, inc.col_rows, m)
+    model = optimizer._covering_model(m)
+    optimizer._add_columns(model, cost, inc.col_ptr, inc.col_rows)
     bare = inc.row_cols[inc.row_ptr[0] : inc.row_ptr[1]].astype(np.int32)
 
     def solve(upper):
