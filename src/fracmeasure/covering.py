@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionUnsupported,
     InvalidInput,
@@ -134,34 +136,30 @@ def besicovitch_families(
         if not r > 0.0:
             raise InvalidInput("radii must be positive")
 
-    items = sorted(
-        zip(centers, (float(r) for r in radii)),
-        key=lambda cr: (-cr[1], space.index_of(cr[0])),
-    )
-    kept: list[Ball] = []
-    for c, r in items:
-        ci = space.index_of(c)
-        inside = any(
-            space.dist[ci, space.index_of(b.center)] <= b.radius for b in kept
-        )
-        if not inside:
-            kept.append(Ball(center=c, radius=r))
+    at = np.array([space.index_of(c) for c in centers], dtype=np.intp)
+    rad = np.array(radii, dtype=float)
+    walk = np.lexsort((at, -rad)).tolist()
+    # A center is inside a kept ball when its distance to the kept center
+    # is within the kept radius: a column of dist.
+    covered = np.zeros(space.n, dtype=bool)
+    kept = []
+    for i in walk:
+        if not covered[at[i]]:
+            kept.append(i)
+            covered |= space.dist[:, at[i]] <= rad[i]
 
-    families: list[list[Ball]] = []
-    for b in kept:
-        bi = space.index_of(b.center)
-        placed = False
-        for fam in families:
-            overlap = any(
-                space.dist[bi, space.index_of(o.center)] <= b.radius + o.radius
-                for o in fam
-            )
-            if not overlap:
-                fam.append(b)
-                placed = True
-                break
-        if not placed:
-            families.append([b])
+    # Ball i clashes with an earlier ball j when dist[i, j] <= r_i + r_j;
+    # it takes the first color that no earlier clashing ball holds.
+    k_at, k_rad = at[kept], rad[kept]
+    clash = space.dist[np.ix_(k_at, k_at)] <= k_rad[:, None] + k_rad[None, :]
+    color = np.zeros(len(kept), dtype=np.intp)
+    for i in range(1, len(kept)):
+        held = np.zeros(i + 1, dtype=bool)
+        held[color[:i][clash[i, :i]]] = True
+        color[i] = held.argmin()
+    families: list[list[Ball]] = [[] for _ in range(color.max(initial=-1) + 1)]
+    for i, f in zip(kept, color.tolist()):
+        families[f].append(Ball(center=centers[i], radius=float(rad[i])))
     return families
 
 

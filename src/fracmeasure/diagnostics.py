@@ -35,7 +35,7 @@ def blanketing_ratio(
     """max over grid radii and support points of mu(B(x, a r)) / mu(B(x, r))."""
     if not 1.0 < a < INF:
         raise InvalidInput(f"dilation factor must be finite and exceed 1, got {a!r}")
-    if not radii:
+    if not len(radii):
         raise EmptyGrid("blanketing needs a nonempty radius grid")
     supp = sorted(measure.support, key=space.index_of)
     best = 0.0
@@ -59,7 +59,7 @@ def premeasure_doubling(
     A vanishing denominator is reported as ZeroDenominator, never masked
     (it can happen in realized mode on singleton balls).
     """
-    if not radii:
+    if not len(radii):
         raise EmptyGrid("doubling needs a nonempty radius grid")
     best = 0.0
     for r in radii:
@@ -91,7 +91,7 @@ def upper_density_profile(
     infinite cost term sends the ratio to 0, a vanishing one to infinity
     (unless the numerator vanishes too).
     """
-    if not radii:
+    if not len(radii):
         raise EmptyGrid("density profile needs a nonempty radius grid")
     if not -INF < tail < INF:
         raise InvalidInput(f"tail must be finite, got {tail!r}")

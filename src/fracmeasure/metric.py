@@ -94,6 +94,24 @@ class FiniteMetricSpace:
     def __contains__(self, point) -> bool:
         return point in self._index
 
+    @cached_property
+    def _by_distance(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's point indices by distance (a stable argsort), and those distances.
+
+        Every ball grid on the space is cut from these; both read-only.
+        """
+        order = np.argsort(self.dist, axis=1, kind="stable")
+        srt = np.sort(self.dist, axis=1)
+        order.setflags(write=False)
+        srt.setflags(write=False)
+        return order, srt
+
+    def __getstate__(self) -> dict:
+        # Spaces are pickled to sweep workers: the n x n cache stays behind.
+        state = self.__dict__.copy()
+        state.pop("_by_distance", None)
+        return state
+
 
 @dataclass(frozen=True, eq=False)
 class PointMeasure:
@@ -412,46 +430,54 @@ class BallGrid(NamedTuple):
         The rows of ``order`` run over the whole space, and each length
         counts the points within the new radius.
         """
-        dist = self.space.dist[self.centers]
+        order, srt = self.space._by_distance
         radius = self.radius * factor
         return self._replace(
-            order=np.argsort(dist, axis=1, kind="stable"),
+            order=order[self.centers],
             radius=radius,
-            length=np.count_nonzero(dist[self.row] <= radius[:, None], axis=1),
+            length=np.count_nonzero(srt[self.centers[self.row]] <= radius[:, None], axis=1),
         )
 
 
 def ball_grid(space: FiniteMetricSpace, centers: Iterable, delta: float) -> BallGrid:
     """The candidates of ``enumerate_centered_balls`` as a :class:`BallGrid`.
 
-    One stable argsort per center row; each grid radius becomes the
-    length of the prefix of points within it.
+    Cut from the space's distance order, built once per space: each grid
+    radius becomes the length of the prefix of points within it.
     """
     if not delta >= space.epsilon_net:  # also rejects NaN
         raise DeltaBelowResolution(float(delta), space.epsilon_net)
     rows = np.array(sorted({space.index_of(c) for c in centers}), dtype=np.intp)
-    dist = space.dist[rows]
-    order = np.argsort(dist, axis=1, kind="stable")
-    srt = np.take_along_axis(dist, order, axis=1)
+    order, srt = space._by_distance
+    if len(rows) < space.n:
+        order, srt = order[rows], srt[rows]
+    within = srt <= delta
+    k = np.count_nonzero(within.any(axis=0))
+    srt = srt[:, :k]
+    # Each row's next distance; past column k every row is beyond delta.
+    nxt = np.empty_like(srt)
+    nxt[:, :-1] = srt[:, 1:]
+    nxt[:, -1:] = INF
     eps = space.epsilon_net
-    # Each realized distance in (0, delta], at the last entry of its run of ties.
-    last = np.ones(srt.shape, dtype=bool)
-    last[:, :-1] = srt[:, 1:] != srt[:, :-1]
-    r_row, r_at = np.nonzero(last & (srt > 0.0) & (srt <= delta))
-    # The floor joins every grid where it is not realized already.
-    e_len = np.count_nonzero(srt <= eps, axis=1)
-    e_row = np.flatnonzero(srt[np.arange(len(rows)), e_len - 1] != eps)
-    row = np.concatenate([r_row, e_row])
-    radius = np.concatenate([srt[r_row, r_at], np.full(len(e_row), eps)])
-    length = np.concatenate([r_at + 1, e_len[e_row]])
-    k = np.lexsort((radius, row))
+    # Each candidate marks its prefix length - 1 in a row of (position,
+    # radius kind) pairs, so reading the marks in order lists the grid by
+    # row, then radius, with no sort.  Kind 0: a realized distance in
+    # (0, delta], at the last entry of its run of ties.  Kind 1: the
+    # floor, where it is not realized already.  Kind 1 follows kind 0:
+    # epsilon_net may exceed the least distance by INVARIANT_TOL, and then
+    # the floor comes after a realized radius below it at the same position.
+    mark = np.empty((len(rows), k, 2), dtype=bool)
+    mark[:, :, 0] = (srt < nxt) & (srt > 0.0) & within[:, :k]
+    mark[:, :, 1] = (srt < eps) & (nxt > eps)
+    row, at = np.divmod(np.flatnonzero(mark), 2 * k)
+    at, floor = np.divmod(at, 2)
     return BallGrid(
         space=space,
         centers=rows,
-        order=order[:, : length.max(initial=0)],
-        row=row[k],
-        radius=radius[k],
-        length=length[k],
+        order=order[:, :k],
+        row=row,
+        radius=np.where(floor, eps, srt[row, at]),
+        length=at + 1,
     )
 
 

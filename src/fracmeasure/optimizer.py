@@ -995,20 +995,28 @@ def _round_to_cover(x, cost, col_ptr, col_rows, rows) -> list[int] | None:
     first (ties in column order, which in the branch and bound is
     candidate order), each dropped while every marked row it holds stays
     covered by another.  None when the support misses a marked row, which
-    only solver rounding can cause.
+    only solver rounding can cause.  The cover's columns are in no
+    particular order.
     """
     support = np.flatnonzero(x > 0.0)
     starts = col_ptr[support]
-    hits = np.bincount(
-        take_segments(col_rows, starts, col_ptr[support + 1] - starts), minlength=len(rows)
-    )
+    counts = col_ptr[support + 1] - starts
+    members = take_segments(col_rows, starts, counts)
+    hits = np.bincount(members, minlength=len(rows))
     if not hits[rows].all():
         return None
     hits[~rows] = len(support) + 2  # never brought down to 1 by the drops below
-    cover = []
-    for j in support[np.argsort(-cost[support], kind="stable")].tolist():
+    # A column alone on a marked row is never dropped, and keeping it moves
+    # no count, so only the rest face the drops.  The 2 closes the last
+    # segment; a column with no rows reads the next segment's first count,
+    # and is dropped.
+    least = np.minimum.reduceat(np.append(hits[members], 2), csr_offsets(counts)[:-1])
+    forced = (least == 1) & (counts > 0)
+    cover = support[forced].tolist()
+    rest = support[~forced]
+    for j in rest[np.argsort(-cost[rest], kind="stable")].tolist():
         held = col_rows[col_ptr[j] : col_ptr[j + 1]]
-        if hits[held].min() > 1:
+        if hits[held].min(initial=2) > 1:
             hits[held] -= 1
         else:
             cover.append(j)

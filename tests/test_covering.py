@@ -6,10 +6,12 @@ from fracmeasure import (
     HausdorffFunction,
     Premeasure,
     besicovitch_families,
+    cantor_net,
     check_besicovitch,
     check_vitali,
     cycle_metric,
     point_measure,
+    random_cloud,
     subfamily_3r_reduction,
     uniform_grid,
     uniform_measure,
@@ -75,6 +77,75 @@ def test_besicovitch_plane():
     radii = [float(rng.uniform(eps, 0.7)) for _ in range(8)]
     families = besicovitch_families(space, list(space.point_ids), radii)
     assert check_besicovitch(space, list(space.point_ids), families) == []
+
+
+def _looped_besicovitch_families(space, centers, radii):
+    """``besicovitch_families`` by a scan of the kept balls per item, the earlier form."""
+    items = sorted(
+        zip(centers, (float(r) for r in radii)),
+        key=lambda cr: (-cr[1], space.index_of(cr[0])),
+    )
+    kept = []
+    for c, r in items:
+        ci = space.index_of(c)
+        if not any(space.dist[ci, space.index_of(b.center)] <= b.radius for b in kept):
+            kept.append(Ball(center=c, radius=r))
+    families = []
+    for b in kept:
+        bi = space.index_of(b.center)
+        for fam in families:
+            if not any(
+                space.dist[bi, space.index_of(o.center)] <= b.radius + o.radius for o in fam
+            ):
+                fam.append(b)
+                break
+        else:
+            families.append([b])
+    return families
+
+
+def _nearly_symmetric_space():
+    # A given dist beside coords may be off symmetric within the tolerance.
+    coords = np.random.default_rng(4).random((10, 2))
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+    dist = dist + np.triu(np.full(dist.shape, 4e-13), 1)
+    return validate_space(dist=dist, coords=coords, epsilon_net=0.01)
+
+
+def test_besicovitch_families_equal_the_loop_form():
+    rng = np.random.default_rng(8)
+    spaces = [random_cloud(n, d, seed) for n in (2, 12, 40) for d in (1, 2) for seed in (1, 5)]
+    spaces += [uniform_grid(5, 1), uniform_grid(4, 2), cantor_net(5)[0]]  # many ties
+    spaces += [_nearly_symmetric_space()]
+    cases = 0
+    for space in spaces:
+        ids = list(space.point_ids)
+        picks = rng.integers(0, len(ids), len(ids))
+        for centers in (ids, [ids[i] for i in picks], ids[::3]):  # the second repeats centers
+            gaps = space.dist[space.dist > 0]
+            for radii in (
+                [float(np.median(gaps))] * len(centers),
+                rng.choice(np.unique(gaps)[:4], len(centers)).tolist(),
+                rng.uniform(gaps.min() / 2, gaps.max(), len(centers)).tolist(),
+            ):
+                got = besicovitch_families(space, centers, radii)
+                want = _looped_besicovitch_families(space, centers, radii)
+                assert [[(b.center, b.radius) for b in f] for f in got] == [
+                    [(b.center, b.radius) for b in f] for f in want
+                ]
+                cases += 1
+    assert cases == 9 * len(spaces)
+    assert besicovitch_families(spaces[0], [], []) == []
+    # Radii of half the least distance below the diagonal: the two balls
+    # at that distance clash when the later one's row of dist is read,
+    # and not by the earlier one's.
+    space = spaces[-1]
+    lower = space.dist[np.tril_indices(space.n, -1)]
+    ids, half = list(space.point_ids), float(lower.min()) / 2
+    got = besicovitch_families(space, ids, [half] * len(ids))
+    want = _looped_besicovitch_families(space, ids, [half] * len(ids))
+    assert [[b.center for b in f] for f in got] == [[b.center for b in f] for f in want]
+    assert len(got) == 2
 
 
 @pytest.mark.parametrize("radius", [float("nan"), -1.0])

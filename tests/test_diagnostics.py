@@ -47,6 +47,14 @@ def test_blanketing_cantor_regression():
     assert value == pytest.approx(2.0, abs=1e-9)
 
 
+def test_blanketing_takes_an_array_grid():
+    space, measure = cantor_net(3)
+    radii = np.array([0.1, 0.3])
+    assert blanketing_ratio(space, measure, 2.0, radii) == blanketing_ratio(
+        space, measure, 2.0, radii.tolist()
+    )
+
+
 def test_doubling_power_gauge_closed_form(two_points):
     space, _ = two_points
     for s in (0.5, 1.0, math.log(2.0) / math.log(3.0)):
@@ -54,6 +62,15 @@ def test_doubling_power_gauge_closed_form(two_points):
         assert premeasure_doubling(space, xi, [0.3]) == pytest.approx(
             2.0**s, rel=1e-12
         )
+
+
+def test_doubling_takes_an_array_grid():
+    space, _ = cantor_net(3)
+    xi = Premeasure.from_gauge(HausdorffFunction.linear())
+    radii = np.array([0.1, 0.3])
+    assert premeasure_doubling(space, xi, radii) == premeasure_doubling(
+        space, xi, radii.tolist()
+    )
 
 
 def test_doubling_realized_zero_denominator(two_points):
@@ -115,6 +132,14 @@ def test_density_profile_rows(two_points, linear_gauge):
     # radius 1.0: nu(B)=1.0 over term 1.0*2.0
     assert rows[2][1] == pytest.approx(0.5)
     assert surrogate == pytest.approx(5.0)
+
+
+def test_density_profile_takes_an_array_grid():
+    space, measure = cantor_net(3)
+    xi = Premeasure.from_gauge(HausdorffFunction.linear())
+    radii = np.array([0.1, 0.3])
+    args = (space, measure, 1.0, xi, measure, "000")
+    assert upper_density_profile(*args, radii) == upper_density_profile(*args, radii.tolist())
 
 
 @pytest.mark.parametrize("radii", [[INF], [0.3, INF], [math.nan], [0.0], [-0.3]])

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ from fracmeasure import (
     Rectangle,
     ball_mass,
     ball_members,
+    cantor_net,
+    cycle_metric,
     dilate,
     enumerate_centered_balls,
     enumerate_centered_rectangles,
@@ -20,6 +23,7 @@ from fracmeasure import (
     product_measure,
     product_space,
     random_cloud,
+    uniform_grid,
     uniform_measure,
     validate_space,
 )
@@ -35,7 +39,7 @@ from fracmeasure.errors import (
     TriangleViolation,
     UnknownCenter,
 )
-from fracmeasure.metric import ball_grid
+from fracmeasure.metric import BallGrid, ball_grid
 
 
 def test_validate_accepts_matrix(two_points):
@@ -214,6 +218,94 @@ def test_a_dilated_grid_holds_the_dilated_balls():
         members = wide.order[wide.row[j], : wide.length[j]].tolist()
         assert {space.point_ids[i] for i in members} == ball_members(space, ball)
         assert ball_mass(space, measure, ball) == m
+
+
+def _lexsorted_ball_grid(space, centers, delta):
+    """``ball_grid`` by one argsort per center row and a lexsort, the earlier form."""
+    rows = np.array(sorted({space.index_of(c) for c in centers}), dtype=np.intp)
+    dist = space.dist[rows]
+    order = np.argsort(dist, axis=1, kind="stable")
+    srt = np.take_along_axis(dist, order, axis=1)
+    eps = space.epsilon_net
+    last = np.ones(srt.shape, dtype=bool)
+    last[:, :-1] = srt[:, 1:] != srt[:, :-1]
+    r_row, r_at = np.nonzero(last & (srt > 0.0) & (srt <= delta))
+    e_len = np.count_nonzero(srt <= eps, axis=1)
+    e_row = np.flatnonzero(srt[np.arange(len(rows)), e_len - 1] != eps)
+    row = np.concatenate([r_row, e_row])
+    radius = np.concatenate([srt[r_row, r_at], np.full(len(e_row), eps)])
+    length = np.concatenate([r_at + 1, e_len[e_row]])
+    k = np.lexsort((radius, row))
+    order = order[:, : length.max(initial=0)]
+    return BallGrid(space, rows, order, row[k], radius[k], length[k])
+
+
+def _floor_space(above):
+    # epsilon_net at the least distance (the floor is realized), or above it
+    # inside INVARIANT_TOL: then the floor follows a realized radius below it
+    # at the same length.
+    space = random_cloud(12, 2, 4)
+    eps = float(space.dist[space.dist > 0].min()) + above
+    return validate_space(dist=space.dist, epsilon_net=eps)
+
+
+def test_ball_grid_equals_the_lexsort_form():
+    rng = np.random.default_rng(11)
+    spaces = [random_cloud(n, d, seed) for n in (2, 9, 30) for d in (1, 2) for seed in (0, 3)]
+    spaces += [cycle_metric(n) for n in (3, 8, 13)]  # many ties
+    spaces += [uniform_grid(n, d) for n in (3, 4) for d in (1, 2)]
+    spaces += [cantor_net(4)[0], _floor_space(0.0), _floor_space(5e-13)]
+    cases = 0
+    for space in spaces:
+        ids = space.point_ids
+        realized = np.unique(space.dist[space.dist > space.epsilon_net])
+        diameter = float(space.dist.max())
+        deltas = [space.epsilon_net, float(rng.choice(realized)), diameter, 1.5 * diameter]
+        subsets = [ids, ids[::2], ids[-1:], (), [ids[i] for i in rng.permutation(len(ids))[:4]]]
+        for centers in subsets:
+            for delta in deltas:
+                got = ball_grid(space, centers, delta)
+                want = _lexsorted_ball_grid(space, centers, delta)
+                for name in ("centers", "order", "row", "radius", "length"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+                cases += 1
+    assert cases == len(spaces) * 20
+    space = _floor_space(5e-13)
+    nearest = np.where(space.dist > 0, space.dist, np.inf).min(axis=1)
+    floor = ball_grid(space, [space.point_ids[int(nearest.argmin())]], 1.0)
+    assert floor.radius[0] < floor.radius[1] == space.epsilon_net
+    assert floor.length[0] == floor.length[1]
+
+
+def test_a_space_sorts_its_distances_once(monkeypatch):
+    space = random_cloud(30, 2, 7)
+    first = ball_grid(space, space.point_ids, 0.5)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a second grid sorted again")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    monkeypatch.setattr(np, "sort", no_sort)
+    again = ball_grid(space, space.point_ids, 0.2)
+    part = ball_grid(space, space.point_ids[::3], 0.2)
+    wide = part.dilate(3.0)
+    order = space._by_distance[0]
+    assert np.shares_memory(first.order, order) and np.shares_memory(again.order, order)
+    assert not np.shares_memory(part.order, order) and not np.shares_memory(wide.order, order)
+    assert not order.flags.writeable and not space._by_distance[1].flags.writeable
+
+
+def test_a_pickled_space_leaves_its_distance_order_behind():
+    space = random_cloud(30, 2, 7)
+    size = len(pickle.dumps(space))
+    grid = ball_grid(space, space.point_ids, 0.5)
+    assert len(pickle.dumps(space)) == size
+    back = pickle.loads(pickle.dumps(space))
+    assert "_by_distance" not in back.__dict__
+    again = ball_grid(back, back.point_ids, 0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(grid[1:], again[1:]))
 
 
 def test_rectangle_mass_sums_in_row_major_order():

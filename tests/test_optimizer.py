@@ -336,6 +336,47 @@ def _check_irredundant_covers(offered):
             assert hits[held[rows[held]]].min() == 1
 
 
+def _looped_round_to_cover(x, cost, col_ptr, col_rows, rows):
+    """``_round_to_cover`` with every support column in the drop loop, the earlier form."""
+    support = np.flatnonzero(x > 0.0)
+    hits = np.zeros(len(rows), dtype=int)
+    for j in support.tolist():
+        hits[col_rows[col_ptr[j] : col_ptr[j + 1]]] += 1
+    if not hits[rows].all():
+        return None
+    hits[~rows] = len(support) + 2
+    cover = []
+    for j in support[np.argsort(-cost[support], kind="stable")].tolist():
+        held = col_rows[col_ptr[j] : col_ptr[j + 1]]
+        if hits[held].min() > 1:
+            hits[held] -= 1
+        else:
+            cover.append(j)
+    return cover
+
+
+def test_rounded_covers_equal_the_loop_form(monkeypatch, unit_constant):
+    offered = _rounded_covers(monkeypatch)
+    for n in (5, 25):
+        space = cycle_metric(n)
+        solve_integer(build_cover_instance(
+            space, uniform_measure(space), 0.0, unit_constant, space.point_ids, 1.0
+        ))
+    for cell in ((40, -1.0, 0.5), ("product", -1.0, 0.5)):
+        solve_integer(_mip_cell(cell))
+    forced = 0
+    for x, cost, col_ptr, col_rows, rows, cover in offered:
+        want = _looped_round_to_cover(x, cost, col_ptr, col_rows, rows)
+        assert cover is not None and sorted(cover) == sorted(want)
+        forced += cover != want  # forced columns come first
+    assert len(offered) > 20 and forced
+    # A support column with no rows is never forced, though the next
+    # column is; it is dropped.
+    x, cost = np.array([1.0, 1.0, 0.5]), np.array([1.0, 1.0, 2.0])
+    col_ptr, col_rows = np.array([0, 0, 1, 2]), np.array([0, 1])
+    assert optimizer._round_to_cover(x, cost, col_ptr, col_rows, np.array([True, False])) == [1]
+
+
 def test_oracle_size_limit(five_cycle, unit_constant):
     space, measure = five_cycle
     inst = build_cover_instance(space, measure, 0.0, unit_constant, space.point_ids, 1.0)
