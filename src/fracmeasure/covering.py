@@ -24,9 +24,10 @@ from .metric import (
     FiniteMetricSpace,
     PointMeasure,
     ball_members,
+    candidate_grid,
     dilate,
 )
-from .premeasure import Premeasure, weight_term
+from .premeasure import Premeasure, weight_terms
 
 __all__ = [
     "VitaliPacking",
@@ -221,7 +222,7 @@ def subfamily_3r_reduction(
         if total < 1.0 - SOLVER_TOL:
             raise InvalidWeightedCover(f"target point {p!r} has cover weight {total!r}")
 
-    terms = [weight_term(space, measure, q, xi, b) for b in balls]
+    terms = weight_terms(candidate_grid(space, balls), measure, q, xi).tolist()
     order = sorted(
         range(len(balls)),
         key=lambda i: (

@@ -1,9 +1,11 @@
 """Finite-scale diagnostics: blanketing, doubling, density profiles and bounds.
 
 All quantities here are brute-force maxima over explicit grids; nothing
-extrapolates beyond the resolution floor.  The density upper bound is a
-theorem at fixed scale and is asserted; the other diagnostics only
-report numbers.
+extrapolates beyond the resolution floor.  Each diagnostic prices its
+balls, by radius and then by point, as one candidate grid
+(``metric.candidate_grid``), and their dilations as the dilated grid.
+The density upper bound is a theorem at fixed scale and is asserted;
+the other diagnostics only report numbers.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EmptyGrid, InvalidInput, ZeroDenominator
-from .extended import INF, SOLVER_TOL, xdiv, xdiv_array
-from .metric import Ball, FiniteMetricSpace, PointMeasure, ball_mass
-from .premeasure import Premeasure, eval_premeasure, weight_term
+from .extended import INF, SOLVER_TOL, xdiv_array
+from .metric import Ball, FiniteMetricSpace, PointMeasure, candidate_grid
+from .premeasure import Premeasure, premeasure_values, weight_terms
 from .optimizer import build_cover_instance, solve_integer
 
 __all__ = [
@@ -24,6 +28,15 @@ __all__ = [
     "DensityBoundReport",
     "density_upper_bound_check",
 ]
+
+
+def _grid_radii(radii: Sequence[float]) -> list[float]:
+    """The radii as floats; any radius that is not positive and finite raises InvalidInput."""
+    out = [float(r) for r in radii]
+    for r in out:
+        if not 0.0 < r < INF:
+            raise InvalidInput(f"grid radii must be positive and finite, got {r!r}")
+    return out
 
 
 def blanketing_ratio(
@@ -38,15 +51,9 @@ def blanketing_ratio(
     if not len(radii):
         raise EmptyGrid("blanketing needs a nonempty radius grid")
     supp = sorted(measure.support, key=space.index_of)
-    best = 0.0
-    for r in radii:
-        if not 0.0 < r < INF:
-            raise InvalidInput(f"grid radii must be positive and finite, got {r!r}")
-        for x in supp:
-            num = ball_mass(space, measure, Ball(center=x, radius=a * r))
-            den = ball_mass(space, measure, Ball(center=x, radius=float(r)))
-            best = max(best, num / den)  # den >= mu(x) > 0 on the support
-    return best
+    grid = candidate_grid(space, [Ball(x, r) for r in _grid_radii(radii) for x in supp])
+    # den >= mu(x) > 0 on the support
+    return float((grid.dilate(a).mass(measure) / grid.mass(measure)).max())
 
 
 def premeasure_doubling(
@@ -61,17 +68,14 @@ def premeasure_doubling(
     """
     if not len(radii):
         raise EmptyGrid("doubling needs a nonempty radius grid")
-    best = 0.0
-    for r in radii:
-        if not 0.0 < r < INF:
-            raise InvalidInput(f"grid radii must be positive and finite, got {r!r}")
-        for x in space.point_ids:
-            den = eval_premeasure(xi, space, Ball(center=x, radius=float(r)))
-            if den == 0.0:
-                raise ZeroDenominator(x, float(r))
-            num = eval_premeasure(xi, space, Ball(center=x, radius=2.0 * float(r)))
-            best = max(best, num / den)
-    return best
+    balls = [Ball(x, r) for r in _grid_radii(radii) for x in space.point_ids]
+    grid = candidate_grid(space, balls)
+    den = premeasure_values(xi, grid)
+    zero = np.flatnonzero(den == 0.0)
+    if zero.size:
+        first = balls[zero[0]]
+        raise ZeroDenominator(first.center, first.radius)
+    return float((premeasure_values(xi, grid.dilate(2.0)) / den).max())
 
 
 def upper_density_profile(
@@ -97,14 +101,10 @@ def upper_density_profile(
         raise InvalidInput(f"tail must be finite, got {tail!r}")
     if measure.mass_of(point) <= 0.0:
         raise InvalidInput("profile point must carry positive mass")
-    rows = []
-    for r in sorted(float(r) for r in radii):
-        if not 0.0 < r < INF:
-            raise InvalidInput(f"grid radii must be positive and finite, got {r!r}")
-        b = Ball(center=point, radius=r)
-        num = ball_mass(space, nu, b)
-        den = weight_term(space, measure, q, xi, b)
-        rows.append((r, xdiv(num, den)))
+    grid_radii = sorted(_grid_radii(radii))
+    grid = candidate_grid(space, [Ball(point, r) for r in grid_radii])
+    ratios = xdiv_array(grid.mass(nu), weight_terms(grid, measure, q, xi))
+    rows = list(zip(grid_radii, ratios.tolist()))
     surrogate = max(ratio for _, ratio in rows[: max(1, int(tail))])
     return tuple(rows), surrogate
 

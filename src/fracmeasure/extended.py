@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["INF", "xmul", "xmul_array", "xpow", "xdiv", "xdiv_array"]
+__all__ = ["INF", "xmul", "xmul_array", "xpow", "xpow_array", "xdiv", "xdiv_array"]
 
 INF = math.inf
 
@@ -42,6 +42,12 @@ def xpow(base: float, q: float) -> float:
     if base == 0.0:
         return INF if q <= 0.0 else 0.0
     return base**q
+
+
+def xpow_array(base: np.ndarray, q: float) -> np.ndarray:
+    """Elementwise :func:`xpow`: the IEEE power, with 0 ** q = inf for q <= 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(base == 0.0, INF if q <= 0.0 else 0.0, np.power(base, q))
 
 
 def xdiv(num: float, den: float) -> float:

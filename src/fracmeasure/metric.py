@@ -15,6 +15,12 @@ off-grid radius to the next realized distance below it keeps the member
 set, so for monotone premeasures this finite family contains a
 cost-dominating counterpart of every centered delta-cover.
 
+Cover costs are priced on grids: ``ball_grid`` holds that family, by
+center, then radius, and ``candidate_grid`` holds any given balls (or
+rectangles) in the given order at their own radii.  Both are cut from
+one distance order per space, and a single ball is read as a grid of one
+candidate (``ball_mass``).
+
 Products carry the max metric; covers of product targets use axis
 rectangles (pairs of factor balls with independent radii) rather than
 product-metric balls.
@@ -57,6 +63,7 @@ __all__ = [
     "BallGrid",
     "RectangleGrid",
     "ball_grid",
+    "candidate_grid",
     "rectangle_grid",
     "product_space",
     "product_measure",
@@ -308,11 +315,6 @@ def uniform_measure(space: FiniteMetricSpace) -> PointMeasure:
 # --- balls --------------------------------------------------------------
 
 
-def _member_indices(space: FiniteMetricSpace, center_idx: int, radius: float) -> np.ndarray:
-    # Closed membership, tolerance free on the stored reals.
-    return np.flatnonzero(space.dist[center_idx] <= radius)
-
-
 def ball_members(space: FiniteMetricSpace | ProductSpace, ball: Ball | Rectangle) -> frozenset:
     """Member ids of a ball, or member id pairs of a rectangle."""
     if isinstance(ball, Rectangle):
@@ -323,8 +325,11 @@ def ball_members(space: FiniteMetricSpace | ProductSpace, ball: Ball | Rectangle
         return frozenset((a, b) for a in left for b in right)
     if isinstance(space, ProductSpace):
         space = space.space
-    idx = space.index_of(ball.center)
-    return frozenset(space.point_ids[int(i)] for i in _member_indices(space, idx, ball.radius))
+    if not ball.radius >= 0.0:  # NaN too
+        raise InvalidInput(f"ball radii must be nonnegative, got {ball.radius!r}")
+    # Closed membership, tolerance free on the stored reals.
+    inside = np.flatnonzero(space.dist[space.index_of(ball.center)] <= ball.radius)
+    return frozenset(space.point_ids[i] for i in inside.tolist())
 
 
 def ball_mass(
@@ -332,31 +337,8 @@ def ball_mass(
     measure: PointMeasure,
     ball: Ball | Rectangle,
 ) -> float:
-    """Total mass of the members of a ball or rectangle, in a fixed order.
-
-    A ball's members are added one by one by distance from the center,
-    ties by point index, as :meth:`BallGrid.mass` adds them, so the two
-    agree bit for bit; a rectangle's member pairs are added in the
-    ``(a, b)`` row-major order of the product, which need not match
-    :meth:`RectangleGrid.mass` (a matrix product) in the last bits.
-    """
-    if isinstance(ball, Rectangle):
-        if not isinstance(space, ProductSpace):
-            raise TypeError("rectangle members need a product space")
-        left, right = (
-            _member_indices(f, f.index_of(b.center), b.radius).tolist()
-            for f, b in ((space.left, ball.left), (space.right, ball.right))
-        )
-        lids, rids = space.left.point_ids, space.right.point_ids
-        masses = [measure.mass_of((lids[a], rids[b])) for a in left for b in right]
-    else:
-        if isinstance(space, ProductSpace):
-            space = space.space
-        idx = space.index_of(ball.center)
-        members = _member_indices(space, idx, ball.radius)
-        members = members[np.argsort(space.dist[idx, members], kind="stable")]
-        masses = [measure.mass_of(space.point_ids[i]) for i in members.tolist()]
-    return float(np.cumsum(masses)[-1]) if masses else 0.0
+    """Total mass of the members of a ball or rectangle: its one-candidate grid's mass."""
+    return float(candidate_grid(space, [ball]).mass(measure)[0])
 
 
 def dilate(ball: Ball | Rectangle, factor: float) -> Ball | Rectangle:
@@ -373,8 +355,9 @@ class BallGrid(NamedTuple):
     center ``centers[u]`` (a stable argsort, cut after the longest prefix
     any candidate needs).  Candidate ``j`` is the ball of radius
     ``radius[j]`` around ``centers[row[j]]``; its members are the first
-    ``length[j]`` entries of that row.  Candidates run by center index,
-    then by radius.
+    ``length[j]`` entries of that row.  In a grid from :func:`ball_grid`
+    candidates run by center index, then by radius; one from
+    :func:`candidate_grid` keeps the order it was given.
     """
 
     space: FiniteMetricSpace
@@ -427,16 +410,52 @@ class BallGrid(NamedTuple):
     def dilate(self, factor: float) -> BallGrid:
         """The same candidates with every radius times ``factor``, as :func:`dilate` makes them.
 
-        The rows of ``order`` run over the whole space, and each length
-        counts the points within the new radius.
+        Cut as :func:`candidate_grid` cuts, so a NaN or negative factor
+        raises InvalidInput.
         """
-        order, srt = self.space._by_distance
-        radius = self.radius * factor
-        return self._replace(
-            order=order[self.centers],
-            radius=radius,
-            length=np.count_nonzero(srt[self.centers[self.row]] <= radius[:, None], axis=1),
-        )
+        return _cut(self.space, self.centers, self.row, self.radius * factor)
+
+
+def _cut(
+    space: FiniteMetricSpace, centers: np.ndarray, row: np.ndarray, radius: np.ndarray
+) -> BallGrid:
+    """The balls of radius ``radius[j]`` around ``centers[row[j]]``, from the distance order.
+
+    Each length counts the points within the radius; the rows of
+    ``order`` stop after the longest prefix.
+    """
+    bad = ~(radius >= 0.0)  # NaN too
+    if bad.any():
+        raise InvalidInput(f"ball radii must be nonnegative, got {float(radius[bad][0])!r}")
+    order, srt = space._by_distance
+    length = np.count_nonzero(srt[centers[row]] <= radius[:, None], axis=1)
+    return BallGrid(space, centers, order[centers, : length.max(initial=0)], row, radius, length)
+
+
+def candidate_grid(
+    space: FiniteMetricSpace | ProductSpace, candidates: Iterable
+) -> BallGrid | RectangleGrid:
+    """The given balls, or rectangles of a product, as a grid at their own radii.
+
+    Candidate ``j`` of the grid is the ``j``-th one given, so the order
+    is the caller's, not the center-then-radius order of
+    :func:`ball_grid`.  Each ball is cut from the space's distance order
+    as the grids are; a ball of a product is read in ``product.space``.
+    A NaN or negative radius raises InvalidInput.
+    """
+    candidates = list(candidates)
+    if candidates and isinstance(candidates[0], Rectangle):
+        if not isinstance(space, ProductSpace):
+            raise TypeError("rectangle members need a product space")
+        left = candidate_grid(space.left, [c.left for c in candidates])
+        right = candidate_grid(space.right, [c.right for c in candidates])
+        at = np.arange(len(candidates))
+        return RectangleGrid(space, left, right, at, at)
+    if isinstance(space, ProductSpace):
+        space = space.space
+    at = np.array([space.index_of(b.center) for b in candidates], dtype=np.intp)
+    centers, row = np.unique(at, return_inverse=True)
+    return _cut(space, centers, row, np.array([b.radius for b in candidates], dtype=float))
 
 
 def ball_grid(space: FiniteMetricSpace, centers: Iterable, delta: float) -> BallGrid:
@@ -521,20 +540,19 @@ def enumerate_centered_rectangles(
 
     Radii are chosen independently per factor, so the family is the full
     cross product of the factor grids; nominal diameters stay <= 2 delta.
+    Rectangles run as in :func:`rectangle_grid`: by left center, right
+    center, left radius, right radius.
     """
-    if not delta >= product.epsilon_net:  # also rejects NaN
-        raise DeltaBelowResolution(float(delta), product.epsilon_net)
-    lballs = enumerate_centered_balls(product.left, left_centers, delta)
-    rballs = enumerate_centered_balls(product.right, right_centers, delta)
-    return [Rectangle(left=a, right=b) for a in lballs for b in rballs]
+    return rectangle_grid(product, left_centers, right_centers, delta).rectangles()
 
 
 class RectangleGrid(NamedTuple):
     """Rectangle candidates of a product: pairs of factor grid candidates.
 
     Rectangle ``j`` pairs left candidate ``left_at[j]`` with right
-    candidate ``right_at[j]``.  Rectangles run by left center, right
-    center, left radius, right radius.
+    candidate ``right_at[j]``.  In a grid from :func:`rectangle_grid`
+    rectangles run by left center, right center, left radius, right
+    radius.
     """
 
     product: ProductSpace

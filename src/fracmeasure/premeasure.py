@@ -16,7 +16,14 @@ inclusion and radius order.  Four kinds are provided:
   product of the two gauge premeasures pointwise.
 
 Gauge functions vanish at 0, are nondecreasing, positive for r > 0 and
-right-continuous on r > 0.
+right-continuous on r > 0; they take a float or an array of them.
+
+Each kind is written once, as array expressions over a candidate grid
+(:func:`premeasure_values`, and :func:`weight_terms` for the cost
+mu(B)^q xi(B)), whose values run in the grid's candidate order.  The
+functions on one ball or rectangle, :func:`eval_premeasure` and
+:func:`weight_term`, read a grid of that one candidate
+(``metric.candidate_grid``).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FracmeasureError, InvalidInput
-from .extended import INF, xmul, xmul_array, xpow
+from .extended import INF, xmul_array, xpow_array
 from .metric import (
     Ball,
     BallGrid,
@@ -35,8 +42,7 @@ from .metric import (
     ProductSpace,
     Rectangle,
     RectangleGrid,
-    ball_mass,
-    ball_members,
+    candidate_grid,
 )
 
 __all__ = [
@@ -91,25 +97,30 @@ class HausdorffFunction:
             raise InvalidInput(f"constant must be positive and finite, got {c!r}")
         return HausdorffFunction(kind="constant_after_zero", constant=float(c))
 
-    def __call__(self, r: float) -> float:
-        if not r >= 0.0:  # NaN too
-            raise InvalidInput(f"gauge argument must be nonnegative, got {r!r}")
+    def __call__(self, r: float | np.ndarray) -> float | np.ndarray:
+        """h(r) of a float, or of every entry of an array."""
+        x = np.asarray(r, dtype=float)
+        bad = ~(x >= 0.0)  # NaN too
+        if bad.any():
+            raise InvalidInput(f"gauge argument must be nonnegative, got {float(x[bad][0])!r}")
         if self.kind == "power":
-            return float(r) ** self.power
-        if self.kind == "linear":
-            return float(r)
-        if self.kind == "constant_after_zero":
-            return 0.0 if r == 0.0 else self.constant
-        if self.kind == "table":
+            h = x**self.power
+        elif self.kind == "linear":
+            h = x
+        elif self.kind == "constant_after_zero":
+            h = np.where(x == 0.0, 0.0, self.constant)
+        elif self.kind == "table":
             rs = [0.0] + [p for p, _ in self.table]
             vs = [0.0] + [v for _, v in self.table]
-            return float(np.interp(r, rs, vs))
-        raise FracmeasureError(f"unknown gauge kind {self.kind!r}")
+            h = np.interp(x, rs, vs)
+        else:
+            raise FracmeasureError(f"unknown gauge kind {self.kind!r}")
+        return float(h) if x.ndim == 0 else h
 
 
 @dataclass(frozen=True)
 class Premeasure:
-    """Tagged premeasure; evaluate with :func:`eval_premeasure`."""
+    """Tagged premeasure; evaluate with :func:`premeasure_values` on a grid."""
 
     kind: str
     h: HausdorffFunction | None = None
@@ -164,55 +175,13 @@ def hxh_premeasure(
     return Premeasure(kind="gauge_pair", h=h, h_right=h_right, diam_mode=diam_mode)
 
 
-def _realized_diameter(space: FiniteMetricSpace, members: frozenset) -> float:
-    idx = [space.index_of(p) for p in members]
-    if len(idx) <= 1:
-        return 0.0
-    sub = space.dist[np.ix_(idx, idx)]
-    return float(sub.max())
-
-
-def _diameter(space, ball, mode: str) -> float:
-    if isinstance(ball, Rectangle):
-        if mode == "nominal":
-            return ball.nominal_diameter
-        return max(
-            _realized_diameter(space.left, ball_members(space.left, ball.left)),
-            _realized_diameter(space.right, ball_members(space.right, ball.right)),
-        )
-    if isinstance(space, ProductSpace):
-        space = space.space
-    if mode == "nominal":
-        return 2.0 * ball.radius
-    return _realized_diameter(space, ball_members(space, ball))
-
-
 def eval_premeasure(
     xi: Premeasure,
     space: FiniteMetricSpace | ProductSpace,
     ball: Ball | Rectangle,
 ) -> float:
-    """Value of the premeasure on one candidate ball or rectangle."""
-    if xi.kind == "hausdorff":
-        return xi.h(_diameter(space, ball, xi.diam_mode))
-    if xi.kind == "gauge_pair":
-        d = _diameter(space, ball, xi.diam_mode)
-        return xmul(xi.h(d), xi.h_right(d))
-    if xi.kind == "constant_nonempty":
-        return xi.c
-    if xi.kind == "measure_power":
-        m = ball_mass(space, xi.mu, ball)
-        powered = 1.0 if xi.p == 0.0 else m**xi.p
-        scale = 0.5 * (xi.a + xi.b)
-        return scale * powered * xi.phi(_diameter(space, ball, "nominal"))
-    if xi.kind == "product":
-        if not isinstance(ball, Rectangle) or not isinstance(space, ProductSpace):
-            raise TypeError("product premeasure evaluates on rectangles of a product space")
-        return xmul(
-            eval_premeasure(xi.left, space.left, ball.left),
-            eval_premeasure(xi.right, space.right, ball.right),
-        )
-    raise FracmeasureError(f"unknown premeasure kind {xi.kind!r}")
+    """Value of the premeasure on one candidate ball or rectangle, read as a grid."""
+    return float(premeasure_values(xi, candidate_grid(space, [ball]))[0])
 
 
 def weight_term(
@@ -222,46 +191,25 @@ def weight_term(
     xi: Premeasure,
     ball: Ball | Rectangle,
 ) -> float:
-    """Cost of one candidate: mu(B)^q * xi(B) in extended arithmetic.
-
-    Zero mass with q <= 0 makes the power infinite; a vanishing
-    premeasure kills the product even then (0 * inf = 0).  A NaN or
-    infinite q raises InvalidInput.
-    """
-    if not -INF < q < INF:
-        raise InvalidInput(f"q must be finite, got {q!r}")
-    m = ball_mass(space, measure, ball)
-    return xmul(xpow(m, q), eval_premeasure(xi, space, ball))
+    """Cost of one candidate, mu(B)^q * xi(B), read as a grid: see :func:`weight_terms`."""
+    return float(weight_terms(candidate_grid(space, [ball]), measure, q, xi)[0])
 
 
 # --- whole candidate families ----------------------------------------------
 
 
-def _each_value(f, x: np.ndarray) -> np.ndarray:
-    """The scalar function f on every entry of x, called once per distinct value."""
-    distinct, inverse = np.unique(x, return_inverse=True)
-    return np.array([f(v) for v in distinct.tolist()], dtype=float)[inverse]
-
-
 def premeasure_values(xi: Premeasure, grid: BallGrid | RectangleGrid) -> np.ndarray:
-    """:func:`eval_premeasure` on every candidate of a grid.
-
-    Gauges and powers are the scalar functions, applied per distinct
-    argument, so each value is the scalar one up to the summation order
-    of the masses.
-    """
+    """The premeasure on every candidate of a grid."""
     if xi.kind == "hausdorff":
-        return _each_value(xi.h, grid.diameter(xi.diam_mode))
+        return xi.h(grid.diameter(xi.diam_mode))
     if xi.kind == "gauge_pair":
         d = grid.diameter(xi.diam_mode)
-        return xmul_array(_each_value(xi.h, d), _each_value(xi.h_right, d))
+        return xmul_array(xi.h(d), xi.h_right(d))
     if xi.kind == "constant_nonempty":
         return np.full(grid.size, xi.c)
     if xi.kind == "measure_power":
-        m = grid.mass(xi.mu)
-        powered = np.ones(grid.size) if xi.p == 0.0 else _each_value(lambda v: v**xi.p, m)
         scale = 0.5 * (xi.a + xi.b)
-        return scale * powered * _each_value(xi.phi, grid.diameter("nominal"))
+        return scale * grid.mass(xi.mu) ** xi.p * xi.phi(grid.diameter("nominal"))
     if xi.kind == "product":
         if not isinstance(grid, RectangleGrid):
             raise TypeError("product premeasure evaluates on rectangles of a product space")
@@ -275,8 +223,12 @@ def premeasure_values(xi: Premeasure, grid: BallGrid | RectangleGrid) -> np.ndar
 def weight_terms(
     grid: BallGrid | RectangleGrid, measure: PointMeasure, q: float, xi: Premeasure
 ) -> np.ndarray:
-    """:func:`weight_term` on every candidate of a grid, in the same arithmetic."""
+    """The cost mu(B)^q * xi(B) of every candidate of a grid, in extended arithmetic.
+
+    Zero mass with q <= 0 makes the power infinite; a vanishing
+    premeasure kills the product even then (0 * inf = 0).  A NaN or
+    infinite q raises InvalidInput.
+    """
     if not -INF < q < INF:
         raise InvalidInput(f"q must be finite, got {q!r}")
-    powered = _each_value(lambda m: xpow(m, q), grid.mass(measure))
-    return xmul_array(powered, premeasure_values(xi, grid))
+    return xmul_array(xpow_array(grid.mass(measure), q), premeasure_values(xi, grid))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracmeasure import INF, xdiv, xmul, xpow
-from fracmeasure.extended import xdiv_array
+from fracmeasure.extended import xdiv_array, xpow_array
 
 
 def test_xmul_zero_absorbs_infinity():
@@ -53,6 +53,16 @@ def test_xdiv_array_is_xdiv_elementwise():
     num, den = (a.ravel() for a in np.meshgrid(values, values))
     expected = [xdiv(a, b) for a, b in zip(num.tolist(), den.tolist())]
     assert xdiv_array(num, den).tolist() == expected
+
+
+def test_xpow_array_is_xpow_elementwise():
+    bases = [0.0, 1e-9, 0.3, 1.0, 7.5, 1e9]
+    for q in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.log(2.0) / math.log(3.0)):
+        got = xpow_array(np.array(bases), q).tolist()
+        want = [xpow(b, q) for b in bases]
+        assert got[0] == want[0] == (INF if q <= 0.0 else 0.0)
+        # numpy's power may differ from Python's in the last bit
+        assert all(math.isclose(g, w, rel_tol=5e-16) for g, w in zip(got, want)), (q, got, want)
 
 
 @given(st.floats(min_value=1e-9, max_value=1e9))

@@ -1,8 +1,9 @@
 """The array-native cover instance against the per-candidate scalar functions.
 
 Differential tests: every candidate's CSR members and cost must match
-``ball_members`` and ``weight_term`` on seeded 2-D clouds, Cantor nets, a
-grid, the 5-cycle and products, for every premeasure kind.
+``ball_members`` and the scalar cost of ``scalar_reference`` on seeded 2-D
+clouds, Cantor nets, a grid, the 5-cycle and products, for every
+premeasure kind.
 
 Metamorphic tests, which need no oracle: permuting the points leaves H, W
 and Wtilde unchanged; scaling a space by t scales every value of a power
@@ -37,10 +38,10 @@ from fracmeasure import (
     random_cloud,
     uniform_grid,
     validate_space,
-    weight_term,
     weighted_premeasure,
 )
 
+import scalar_reference
 from conftest import covered
 
 _S = math.log(2.0) / math.log(3.0)
@@ -98,7 +99,7 @@ def _single_premeasures(mu):
 
 
 def _check_against_scalars(space, measure, q, xi, inst, target):
-    """Members and costs of every candidate against the scalar functions."""
+    """Members and costs of every candidate against the scalar reference."""
     tset = set(target)
     assert len(inst.indptr) == len(inst.candidates) + 1 == len(inst.costs) + 1
     member_sets = covered(inst)
@@ -108,7 +109,7 @@ def _check_against_scalars(space, measure, q, xi, inst, target):
         assert len(members) == len(seg)
         assert members == ball_members(space, cand) & tset, cand
         assert member_sets[j] == members
-        expected = weight_term(space, measure, q, xi, cand)
+        expected = scalar_reference.weight_term(space, measure, q, xi, cand)
         got = float(inst.costs[j])
         if math.isinf(expected) or math.isinf(got):
             assert got == expected, cand

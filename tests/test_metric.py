@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fracmeasure import (
     Ball,
+    Premeasure,
     Rectangle,
     ball_mass,
     ball_members,
@@ -19,6 +20,7 @@ from fracmeasure import (
     dilate,
     enumerate_centered_balls,
     enumerate_centered_rectangles,
+    eval_premeasure,
     point_measure,
     product_measure,
     product_space,
@@ -26,6 +28,7 @@ from fracmeasure import (
     uniform_grid,
     uniform_measure,
     validate_space,
+    weight_term,
 )
 from fracmeasure.errors import (
     AsymmetricDistance,
@@ -39,7 +42,7 @@ from fracmeasure.errors import (
     TriangleViolation,
     UnknownCenter,
 )
-from fracmeasure.metric import BallGrid, ball_grid
+from fracmeasure.metric import BallGrid, ball_grid, candidate_grid
 
 
 def test_validate_accepts_matrix(two_points):
@@ -346,6 +349,27 @@ def test_ball_mass_does_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5])
+def test_a_nan_or_negative_radius_is_bad_input_everywhere(bad):
+    space, mu = cantor_net(3)
+    prod = product_space(space, space)
+    ball, good = Ball("000", bad), Ball("000", 0.3)
+    xi = Premeasure.constant_nonempty(2.0)
+    calls = [
+        lambda: ball_mass(space, mu, ball),
+        lambda: ball_members(space, ball),
+        lambda: eval_premeasure(xi, space, ball),
+        lambda: weight_term(space, mu, -1.0, xi, ball),
+        lambda: candidate_grid(space, [good, ball]),
+        lambda: ball_members(prod, Rectangle(good, ball)),
+        lambda: ball_mass(prod, product_measure(mu, mu), Rectangle(ball, good)),
+        lambda: ball_grid(space, space.point_ids, 0.5).dilate(bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput, match="radii must be nonnegative"):
+            call()
 
 
 def test_dilate():

@@ -1097,6 +1097,23 @@ def test_a_net_cell_decided_at_the_root_builds_no_incidence():
     _check_only_the_root_is_cached(inst)
 
 
+def test_zero_cost_candidates_leave_the_root_one_per_center():
+    # The rows zero-cost candidates hold are found a round of candidates at
+    # a time (``_span``).  Reading the members of every zero-cost candidate
+    # at once gives the same rows but builds the whole incidence: 4.8 s and
+    # 3.2 GB on the level-10 net under the null premeasure, against 58 ms
+    # (2-core x86 machine).
+    space, mu = cantor_net(8)
+    xi = Premeasure.constant_nonempty(0.0)
+    inst = build_cover_instance(space, mu, 0.0, xi, space.point_ids, 0.5)
+    family, read = inst._family, []
+    members = family.members
+    family.members = lambda cols: read.append(len(cols)) or members(cols)
+    assert inst._root.rows.size == 0 and len(inst._root.free) == len(inst.costs)
+    assert read and max(read) <= space.n
+    assert solve_fractional(inst).value == solve_integer(inst).value == 0.0
+
+
 def _check_only_the_root_is_cached(inst):
     """The instance holds its fields, its grid on the target and the root LP, nothing more.
 
